@@ -30,7 +30,6 @@ from .linalg import (
     matmul_mod,
     rank,
     select_information_columns,
-    solve,
 )
 from .protocol import (
     CollusionView,

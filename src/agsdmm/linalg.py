@@ -1,10 +1,10 @@
 """Dense exact linear algebra modulo a prime.
 
-Matrices are 2-D numpy integer arrays with entries reduced into [0, q); a
-block vector is a list of equal-shape 2-D arrays (matrix-valued entries of a
-length-N vector). Elimination uses first-nonzero pivoting: over a finite
-field there is no pivot-magnitude concern, so this keeps results
-deterministic.
+Matrices are 2-D numpy integer arrays with entries reduced into [0, q).
+Elimination uses first-nonzero pivoting: over a finite field there is no
+pivot-magnitude concern, so this keeps results deterministic. Products mod q
+run in the cheapest dtype that is still exact for their inner length and q:
+float64 (BLAS), int64, or Python integers.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from itertools import combinations
 import numpy as np
 
 SUBMATRIX_CHECK_CAP = 10**6
+FLOAT64_EXACT = 2**53
+INT64_EXACT = 2**63
 
 
 class SingularMatrixError(ValueError):
@@ -35,13 +37,30 @@ def as_matrix(rows, q: int) -> np.ndarray:
 
 
 def matmul_mod(a, b, q: int) -> np.ndarray:
-    """Exact (a @ b) mod q; falls back to bigint dtype if int64 could overflow."""
+    """Exact (a @ b) mod q for integer matrices with entries of any sign or size."""
     a = np.asarray(a, dtype=np.int64) % q
     b = np.asarray(b, dtype=np.int64) % q
-    inner = a.shape[-1]
-    if inner * (q - 1) ** 2 < 2**63:
-        return (a @ b) % q
-    return np.asarray((a.astype(object) @ b.astype(object)) % q, dtype=np.int64)
+    return _matmul_reduced(a, b, q)
+
+
+def _matmul_reduced(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Exact (a @ b) mod q for integer operands already reduced into [0, q).
+
+    A dot product of length k is at most k (q-1)^2, so float64 BLAS is exact
+    below 2^53 (every partial sum is an integer a double holds exactly) and
+    int64 below 2^63; past that the sum is taken in Python integers.
+    """
+    bound = a.shape[-1] * (q - 1) ** 2
+    if bound < FLOAT64_EXACT:
+        # the float64 sums are exact integers; reducing them as int64 is an
+        # order of magnitude faster than np.fmod
+        out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    elif bound < INT64_EXACT:
+        out = a @ b
+    else:
+        return np.asarray((a.astype(object) @ b.astype(object)) % q, dtype=np.int64)
+    np.remainder(out, q, out=out)
+    return out
 
 
 def rank(rows, q: int) -> int:
@@ -129,34 +148,28 @@ class LUFactorization:
         self._perm = perm
         self._diag_inv = [pow(int(a[i, i]), -1, q) for i in range(n)]
 
-    def solve_blocks(self, blocks) -> list[np.ndarray]:
-        """Solve V x = b where b is a block vector; returns the block vector x."""
-        n, q = self.size, self.q
-        if len(blocks) != n:
-            raise ValueError(f"expected {n} blocks, got {len(blocks)}")
-        arrs = [np.asarray(b, dtype=np.int64) % q for b in blocks]
-        shape = arrs[0].shape
-        if any(a.shape != shape for a in arrs):
-            raise ValueError("all blocks must share one shape")
-        y = [arrs[p] for p in self._perm]
-        lu = self._lu
-        for i in range(n):
-            for j in range(i):
-                f = int(lu[i, j])
-                if f:
-                    y[i] = (y[i] - f * y[j]) % q
-        for i in reversed(range(n)):
-            for j in range(i + 1, n):
-                f = int(lu[i, j])
-                if f:
-                    y[i] = (y[i] - f * y[j]) % q
-            y[i] = y[i] * self._diag_inv[i] % q
-        return y
+    def inverse_rows(self, rows) -> np.ndarray:
+        """The listed rows of the inverse matrix, in the order given (len(rows) x size).
 
-
-def solve(rows, blocks, q: int) -> list[np.ndarray]:
-    """One-shot solve of V x = b for a block vector b."""
-    return LUFactorization(rows, q).solve_blocks(blocks)
+        With PV = LU, the rows Z of V^-1 solve Z V = E for E the matching rows
+        of the identity: first Y U = E, then W L = Y, one column per numpy
+        step, and Z is W with its columns moved back through P.
+        """
+        n, q, lu = self.size, self.q, self._lu
+        rows = [int(r) for r in rows]
+        if any(not 0 <= r < n for r in rows):
+            raise ValueError(f"row indices must lie in [0, {n}), got {rows}")
+        z = np.zeros((len(rows), n), dtype=np.int64)
+        z[np.arange(len(rows)), rows] = 1
+        for j in range(n):
+            acc = _matmul_reduced(z[:, :j], lu[:j, j], q)
+            z[:, j] = (z[:, j] - acc) * self._diag_inv[j] % q
+        for j in reversed(range(n - 1)):
+            acc = _matmul_reduced(z[:, j + 1:], lu[j + 1:, j], q)
+            z[:, j] = (z[:, j] - acc) % q
+        out = np.empty_like(z)
+        out[:, self._perm] = z
+        return out
 
 
 def all_square_submatrices_invertible(rows, q: int, cap: int = SUBMATRIX_CHECK_CAP) -> bool:

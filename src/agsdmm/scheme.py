@@ -11,7 +11,9 @@ drives both encoding and decoding.
 Matrices to be multiplied are plain integer arrays taken mod q. Matrix A is
 cut into m row blocks and B into n column blocks; each worker receives one
 masked combination of the blocks of each side and returns the product of its
-two shares. Solving the evaluation system recovers every block product.
+two shares. The recovery-pole rows of the inverse evaluation matrix, computed
+once at build time, map the N responses to every block product in one
+product mod q.
 """
 
 from __future__ import annotations
@@ -131,18 +133,26 @@ def derive_parameters(m: int, n: int, x: int) -> PoleStructure:
     distinct = tuple(sorted({v for row in table for v in row}))
     recovery = tuple(sorted(phi[x + j] + gamma[x + jp] for j in range(m) for jp in range(n)))
 
-    # structural guarantees of the sequence choice
-    assert len(set(phi)) == len(phi) and len(set(gamma)) == len(gamma)
-    assert all(w % 2 == 0 or w >= d for w in phi + gamma)
-    assert len(set(recovery)) == m * n
+    # structural guarantees of the sequence choice; checked explicitly, not by
+    # assert, so that they still hold under python -O
     cutoff = m * n + 4 * x - 4
-    assert all(w > cutoff for w in recovery)
-    assert all(
-        table[j][jp] <= cutoff
-        for j in range(m + x) for jp in range(n + x)
-        if j < x or jp < x
-    )
-    assert len(distinct) <= (3 * m * n + m) // 2 + 3 * x - 2
+    guarantees = {
+        "phi and gamma have distinct entries":
+            len(set(phi)) == len(phi) and len(set(gamma)) == len(gamma),
+        "every pole order is even or at least d":
+            all(w % 2 == 0 or w >= d for w in phi + gamma),
+        "recovery poles are distinct": len(set(recovery)) == m * n,
+        "recovery poles lie above the interference degree": all(w > cutoff for w in recovery),
+        "mask products stay at or below the interference degree": all(
+            table[j][jp] <= cutoff
+            for j in range(m + x) for jp in range(n + x)
+            if j < x or jp < x
+        ),
+        "worker count is within its bound": len(distinct) <= (3 * m * n + m) // 2 + 3 * x - 2,
+    }
+    broken = [name for name, holds in guarantees.items() if not holds]
+    if broken:
+        raise RuntimeError(f"pole structure for m={m}, n={n}, x={x} breaks: {'; '.join(broken)}")
 
     return PoleStructure(
         m=m, n=n, x=x, d=d, g=g, phi=phi, gamma=gamma,
@@ -216,7 +226,11 @@ class SchemeInstance:
 
         # V[i][t] = basis_t(P_i); invertible because the places form an information set
         self.v_matrix = self._evaluate(self.basis, places).T.copy()
-        self._lu = linalg.LUFactorization(self.v_matrix, self.q)
+        # decoder rows: the coefficients of the recovery poles, in (j, j') row-major order
+        index = {w: t for t, w in enumerate(poles.distinct_poles)}
+        recovery = [index[poles.recovery_pole(j, jp)]
+                    for j in range(poles.m) for jp in range(poles.n)]
+        self._decoder = linalg.LUFactorization(self.v_matrix, self.q).inverse_rows(recovery)
         self._phi_eval = self._evaluate(self.phi_monomials, places)
         self._gamma_eval = self._evaluate(self.gamma_monomials, places)
 
@@ -267,18 +281,17 @@ class SchemeInstance:
         return self._combine(self._gamma_eval, masks + blocks)
 
     def _combine(self, coeff, pieces):
-        # share_i = sum_t coeff[t, i] * pieces[t]
+        # share_i = sum_t coeff[t, i] * pieces[t]; the inner length x + m is too
+        # short for float64 BLAS to beat one int64 tensordot
         q = self.q
-        if len(pieces) * (q - 1) ** 2 < 2**63:
-            shares = np.tensordot(coeff.T, np.stack(pieces), axes=1) % q
-            return [shares[i] for i in range(self.n_workers)]
-        out = []
-        for i in range(self.n_workers):
-            acc = np.zeros(pieces[0].shape, dtype=object)
-            for t, piece in enumerate(pieces):
-                acc = (acc + int(coeff[t, i]) * piece.astype(object)) % q
-            out.append(acc.astype(np.int64))
-        return out
+        stacked = np.stack(pieces)
+        if len(pieces) * (q - 1) ** 2 < linalg.INT64_EXACT:
+            shares = np.tensordot(coeff.T, stacked, axes=1)
+            np.remainder(shares, q, out=shares)
+        else:
+            flat = linalg._matmul_reduced(coeff.T, stacked.reshape(len(pieces), -1), q)
+            shares = flat.reshape((-1,) + stacked.shape[1:])
+        return list(shares)
 
     # -- worker computation and decoding -----------------------------------
 
@@ -298,15 +311,14 @@ class SchemeInstance:
         """Recover the full product from all N worker responses."""
         if len(responses) != self.n_workers:
             raise ValueError(f"need all {self.n_workers} responses, got {len(responses)}")
-        coeffs = self._lu.solve_blocks(responses)
-        index = {w: t for t, w in enumerate(self.poles.distinct_poles)}
-        br, bc = coeffs[0].shape
-        me, ne, x = self.poles.m, self.poles.n, self.poles.x
-        out = np.zeros((me * br, ne * bc), dtype=np.int64)
-        for j in range(me):
-            for jp in range(ne):
-                block = coeffs[index[self.poles.recovery_pole(j, jp)]]
-                out[j * br:(j + 1) * br, jp * bc:(jp + 1) * bc] = block
+        stacked = np.stack([np.asarray(r, dtype=np.int64) for r in responses])
+        if stacked.ndim != 3:
+            raise ValueError(f"responses must be 2-D matrices, got shape {stacked.shape[1:]}")
+        np.remainder(stacked, self.q, out=stacked)
+        n, br, bc = stacked.shape
+        me, ne = self.poles.m, self.poles.n
+        blocks = linalg._matmul_reduced(self._decoder, stacked.reshape(n, br * bc), self.q)
+        out = blocks.reshape(me, ne, br, bc).transpose(0, 2, 1, 3).reshape(me * br, ne * bc)
         return out.T.copy() if self.swapped else out
 
     # -- verification helpers -----------------------------------------------
@@ -397,6 +409,15 @@ def save_scheme(instance: SchemeInstance, path) -> None:
 def load_scheme(path) -> SchemeInstance:
     """Rebuild a scheme from its descriptor and verify the stored derived fields."""
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: scheme descriptor must be a JSON object, got {type(data).__name__}")
+    missing = [k for k in ("m", "n", "X", "q") if k not in data]
+    if missing:
+        raise ValueError(f"{path}: scheme descriptor is missing key(s) {', '.join(missing)}")
+    not_int = [k for k in ("m", "n", "X", "q", "seed")
+               if k in data and type(data[k]) is not int]
+    if not_int:
+        raise ValueError(f"{path}: scheme descriptor key(s) {', '.join(not_int)} must be integers")
     params = SchemeParams(
         m=data["m"], n=data["n"], x=data["X"], q=data["q"], seed=data.get("seed", 0)
     )

@@ -87,6 +87,23 @@ def test_multiply_missing_file(tmp_path):
                  "--a", "x", "--b", "y", "--out", "z"]) == 1
 
 
+def test_multiply_rejects_descriptor_missing_a_key(tmp_path, capsys):
+    scheme = tmp_path / "scheme.json"
+    assert main(["build", "--m", "2", "--n", "2", "--x", "1", "--out", str(scheme)]) == 0
+    descriptor = json.loads(scheme.read_text())
+    del descriptor["m"]
+    scheme.write_text(json.dumps(descriptor))
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_matrix_csv(a_path, np.zeros((2, 2), dtype=int), 17)
+    write_matrix_csv(b_path, np.zeros((2, 2), dtype=int), 17)
+    capsys.readouterr()
+    assert main(["multiply", "--scheme", str(scheme), "--a", str(a_path),
+                 "--b", str(b_path), "--out", str(tmp_path / "c.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "missing key(s) m" in err
+
+
 def test_build_invalid_field(tmp_path):
     assert main(["build", "--m", "2", "--n", "2", "--x", "1",
                  "--q", "13", "--out", str(tmp_path / "s.json")]) == 1

@@ -8,7 +8,6 @@ from agsdmm import (
     matmul_mod,
     rank,
     select_information_columns,
-    solve,
 )
 
 
@@ -30,52 +29,43 @@ def test_rank_equals_rank_of_transpose():
         assert rank(m, 13) == rank(m.T, 13)
 
 
-def test_solve_identity():
-    blocks = [np.array([[1, 2], [3, 4]]), np.array([[5, 6], [7, 8]])]
-    out = solve(np.eye(2, dtype=int), blocks, 11)
-    for got, expect in zip(out, blocks):
-        assert np.array_equal(got, np.asarray(expect) % 11)
+def _random_invertible(rng, q, n):
+    while True:
+        v = rng.integers(0, q, size=(n, n))
+        if rank(v, q) == n:
+            return v
 
 
-def test_solve_scalar_example():
-    out = solve([[3]], [np.array([[5]])], 7)
-    assert out[0].item() == 4  # 3 * 4 = 12 = 5 mod 7
+def test_inverse_rows_identity():
+    lu = LUFactorization(np.eye(3, dtype=int), 11)
+    assert np.array_equal(lu.inverse_rows([2, 0]), np.eye(3, dtype=int)[[2, 0]])
+    assert lu.inverse_rows([]).shape == (0, 3)
 
 
-def _block_matvec(v, blocks, q):
-    # independent oracle: (V c)_i = sum_j V[i, j] * c_j
-    n = len(blocks)
-    return [sum(int(v[i, j]) * blocks[j] for j in range(n)) % q for i in range(n)]
+def test_inverse_rows_scalar_example():
+    assert LUFactorization([[3]], 7).inverse_rows([0]).item() == 5  # 3 * 5 = 15 = 1 mod 7
 
 
-def test_solve_roundtrip_random():
+def test_inverse_rows_roundtrip_random():
+    # inverse_rows(rows) @ V is the identity restricted to rows, in any row order
     q = 13
     rng = np.random.default_rng(7)
-    done = 0
-    while done < 100:
-        n = int(rng.integers(1, 6))
-        v = rng.integers(0, q, size=(n, n))
-        if rank(v, q) < n:
-            continue
-        blocks = [rng.integers(0, q, size=(2, 3)) for _ in range(n)]
-        rhs = _block_matvec(v, blocks, q)
-        out = solve(v, rhs, q)
-        for got, expect in zip(out, blocks):
-            assert np.array_equal(got, expect)
-        done += 1
+    for _ in range(100):
+        n = int(rng.integers(1, 7))
+        v = _random_invertible(rng, q, n)
+        rows = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        got = LUFactorization(v, q).inverse_rows(rows)
+        assert np.array_equal(got @ v % q, np.eye(n, dtype=np.int64)[rows])
 
 
 def test_lu_reusable_across_right_hand_sides():
     q = 11
-    v = np.array([[1, 2, 3], [0, 1, 4], [5, 6, 0]])
+    v = np.array([[0, 2, 3], [1, 1, 4], [5, 6, 0]])  # zero corner forces a row swap
     lu = LUFactorization(v, q)
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        blocks = [rng.integers(0, q, size=(1, 1)) for _ in range(3)]
-        rhs = _block_matvec(v, blocks, q)
-        out = lu.solve_blocks(rhs)
-        for got, expect in zip(out, blocks):
-            assert np.array_equal(got, expect % q)
+    full = lu.inverse_rows(range(3))
+    assert np.array_equal(full @ v % q, np.eye(3, dtype=np.int64))
+    for rows in ([2], [1, 0], [2, 0, 1]):
+        assert np.array_equal(lu.inverse_rows(rows), full[rows])
 
 
 def test_singular_matrix_error_names_rank():
@@ -85,12 +75,12 @@ def test_singular_matrix_error_names_rank():
     assert "rank 1" in str(err.value)
 
 
-def test_solve_rejects_bad_blocks():
+def test_inverse_rows_rejects_bad_input():
     lu = LUFactorization(np.eye(2, dtype=int), 7)
     with pytest.raises(ValueError):
-        lu.solve_blocks([np.zeros((1, 1), dtype=int)])
+        lu.inverse_rows([2])
     with pytest.raises(ValueError):
-        lu.solve_blocks([np.zeros((1, 1), dtype=int), np.zeros((2, 2), dtype=int)])
+        lu.inverse_rows([-1])
     with pytest.raises(ValueError):
         LUFactorization(np.zeros((2, 3), dtype=int), 7)
 
@@ -155,3 +145,28 @@ def test_matmul_mod_bigint_fallback():
     got = matmul_mod(a, b, q)
     expect = 3 * (q - 1) * (q - 1) % q
     assert np.all(got == expect)
+
+
+@pytest.mark.parametrize("limit,q", [
+    (2**53, 2999693), (2**53, 2999707),      # largest prime below, smallest above
+    (2**63, 95990387), (2**63, 95990429),
+])
+@pytest.mark.parametrize("offset", [1, 2])
+def test_matmul_mod_tier_boundaries(limit, q, offset):
+    # all entries q - offset make every dot product inner * (q - offset)^2, on
+    # the same side of the limit for both offsets; the odd sums of offset 2
+    # are the ones float64 would round past 2^53
+    inner = 1001
+    assert abs(inner * (q - offset) ** 2 / limit - 1) < 1e-5
+    a = np.full((2, inner), q - offset, dtype=np.int64)
+    b = np.full((inner, 3), q - offset, dtype=np.int64)
+    got = matmul_mod(a, b, q)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, (a.astype(object) @ b.astype(object)) % q)
+
+
+def test_matmul_mod_reduces_negative_and_unreduced_entries():
+    rng = np.random.default_rng(5)
+    a = rng.integers(-1000, 1000, size=(4, 6))
+    b = rng.integers(-1000, 1000, size=(6, 5))
+    assert np.array_equal(matmul_mod(a, b, 97), a @ b % 97)

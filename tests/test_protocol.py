@@ -1,7 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agsdmm import (
     SchemeParams,
@@ -103,6 +106,44 @@ def test_decode_response_pairs_validation(inst221):
         decode_response_pairs(pairs + [pairs[0]], inst221)
     with pytest.raises(ValueError, match="exactly one response"):
         decode_response_pairs(pairs[:-1], inst221)
+
+
+@pytest.mark.parametrize("m,n,x", [(2, 2, 1), (3, 4, 2)])
+def test_decode_reduces_unreduced_and_negative_responses(m, n, x):
+    inst = build_scheme(SchemeParams(m, n, x))
+    rng = np.random.default_rng(17)
+    a = rng.integers(0, inst.q, size=(2 * m, 3))
+    b = rng.integers(0, inst.q, size=(3, 2 * n))
+    _, transcript = run_protocol(a, b, inst, rng)
+    shifts = rng.integers(-3, 4, size=inst.n_workers)
+    shifts[0] = -3  # at least one response with every entry negative
+    pairs = [(i, resp + k * inst.q) for (i, resp), k in zip(transcript.responses(), shifts)]
+    assert (pairs[0][1] < 0).all()
+    assert np.array_equal(decode_response_pairs(pairs, inst), a @ b % inst.q)
+
+
+_SUPPORTED = [(m, n, x) for m in range(1, 5) for n in range(1, 5) for x in range(1, 4)
+              if (m % 2 == 0 and m * (n - 1) + 2 * x - 1 >= 3)
+              or (m % 2 and n % 2 == 0 and n * (m - 1) + 2 * x - 1 >= 3)]
+
+
+@functools.cache
+def _scheme(params):
+    return build_scheme(SchemeParams(*params))
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=st.sampled_from(_SUPPORTED), rows=st.integers(1, 3), inner=st.integers(1, 4),
+       cols=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_run_protocol_matches_direct_product(params, rows, inner, cols, seed):
+    # every supported small (m, n, X), both orientations, assorted block shapes
+    inst = _scheme(params)
+    m, n, _ = params
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, inst.q, size=(m * rows, inner))
+    b = rng.integers(0, inst.q, size=(inner, n * cols))
+    result, _ = run_protocol(a, b, inst, rng)
+    assert np.array_equal(result, a @ b % inst.q)
 
 
 def test_collude_view_contents(inst221):

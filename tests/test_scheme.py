@@ -1,9 +1,16 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import agsdmm
 from agsdmm import (
     SchemeParams,
     all_square_submatrices_invertible,
@@ -72,6 +79,41 @@ def test_derive_parameters_rejects_degenerate():
         derive_parameters(3, 2, 1)  # odd m belongs to the swapped orientation
     with pytest.raises(ValueError):
         derive_parameters(2, 0, 1)
+
+
+def test_structural_checks_survive_python_O():
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from agsdmm import SchemeParams, build_scheme, derive_parameters, run_protocol
+        from agsdmm import scheme
+
+        if sys.flags.optimize < 1:
+            sys.exit("not running under -O")
+        if derive_parameters(4, 3, 2).n_workers != 24:
+            sys.exit("wrong worker count")
+        inst = build_scheme(SchemeParams(4, 3, 2))
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, inst.q, size=(8, 5))
+        b = rng.integers(0, inst.q, size=(5, 6))
+        product, _ = run_protocol(a, b, inst, rng)
+        if not np.array_equal(product, a @ b % inst.q):
+            sys.exit("wrong product")
+        # a sequence choice with a repeated pole order must still be refused
+        d, phi, gamma = scheme.pole_sequences(4, 3, 2)
+        scheme.pole_sequences = lambda m, n, x: (d, phi[:1] + phi[:-1], gamma)
+        try:
+            derive_parameters(4, 3, 2)
+        except RuntimeError as exc:
+            print(exc)
+        else:
+            sys.exit("broken pole structure accepted")
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(agsdmm.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "distinct entries" in out.stdout
 
 
 def test_resolve_orientation():
@@ -259,6 +301,10 @@ def test_decode_validation(inst221):
     with pytest.raises(ValueError):
         inst221.decode(responses[:-1])
     with pytest.raises(ValueError):
+        inst221.decode(responses[:-1] + [np.zeros((1, 1), dtype=int)])  # mismatched shapes
+    with pytest.raises(ValueError):
+        inst221.decode([r[0] for r in responses])  # 1-D responses
+    with pytest.raises(ValueError):
         inst221.worker_products(enc_b, enc_a)
 
 
@@ -311,6 +357,19 @@ def test_scheme_descriptor_tamper_detected(tmp_path, inst221):
     data["places"][0]["x"] = (data["places"][0]["x"] + 1) % 17
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="does not match"):
+        load_scheme(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"n": 2, "X": 1, "q": 17}', "missing key(s) m"),
+    ('{"m": 2, "n": 2, "q": 17, "seed": 0}', "missing key(s) X"),
+    ('[2, 2, 1]', "must be a JSON object"),
+    ('{"m": "2", "n": 2, "X": 1, "q": 17}', "key(s) m must be integers"),
+])
+def test_load_scheme_rejects_malformed_descriptor(tmp_path, text, message):
+    path = tmp_path / "scheme.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_scheme(path)
 
 
