@@ -21,7 +21,6 @@ from .function_field import (
     Monomial,
     Place,
     WeierstrassSemigroup,
-    make_curve,
 )
 from .linalg import (
     LUFactorization,
@@ -48,8 +47,8 @@ from .scheme import (
     SchemeParams,
     build_scheme,
     derive_parameters,
+    distinct_sums,
     load_scheme,
-    pole_number_table,
     pole_sequences,
     read_matrix_csv,
     save_scheme,

@@ -22,9 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
-from .scheme import pole_sequences, resolve_orientation
+from .scheme import distinct_sums, pole_sequences, resolve_orientation
 
 SWEEP_CAVEAT = (
     "gasp_big is an upper bound, not the exact GASP threshold; "
@@ -42,7 +40,7 @@ def workers_ag(m: int, n: int, x: int) -> AgWorkerCount:
     swapped = resolve_orientation(m, n)
     me, ne = (n, m) if swapped else (m, n)
     _, phi, gamma = pole_sequences(me, ne, x)
-    workers = int(np.unique(np.add.outer(np.array(phi), np.array(gamma))).size)
+    workers = len(distinct_sums(phi, gamma))
     bound = (3 * me * ne + me) // 2 + 3 * x - 2
     return AgWorkerCount(workers, bound)
 
@@ -117,7 +115,7 @@ def degree_table_report(a_exponents, b_exponents) -> DegreeTableReport:
         if any(u >= v for u, v in zip(seq, seq[1:])):
             raise ValueError(f"{name} exponents must be strictly increasing, got {seq}")
     table = tuple(tuple(ai + bj for bj in b) for ai in a)
-    distinct = tuple(sorted({v for row in table for v in row}))
+    distinct = distinct_sums(a, b)
     return DegreeTableReport(a, b, table, distinct, len(distinct))
 
 

@@ -73,10 +73,7 @@ class PrimeField:
             return (self.zero,)
         if not self.is_square(v):
             return None
-        if self.q < 1000:
-            r = self._sqrt_scan(v)
-        else:
-            r = self._sqrt_tonelli_shanks(v)
+        r = self._sqrt_tonelli_shanks(v)
         lo, hi = sorted((r, self.q - r))
         return (FieldElement(lo, self), FieldElement(hi, self))
 
@@ -86,12 +83,6 @@ class PrimeField:
                 raise ValueError(f"element of {a.field!r} used with {self!r}")
             return a.value
         return int(a) % self.q
-
-    def _sqrt_scan(self, v: int) -> int:
-        for b in range(1, self.q // 2 + 1):
-            if b * b % self.q == v:
-                return b
-        raise AssertionError("residue has no root despite passing the Euler test")
 
     def _sqrt_tonelli_shanks(self, v: int) -> int:
         q = self.q

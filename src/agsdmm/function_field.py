@@ -16,8 +16,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .field import FieldElement, PrimeField
+
+# x-coordinates examined per numpy step of the place scan
+SCAN_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -84,10 +90,6 @@ class Place:
     y: FieldElement | None
 
     @classmethod
-    def affine(cls, x: FieldElement, y: FieldElement) -> "Place":
-        return cls(x, y)
-
-    @classmethod
     def at_infinity(cls) -> "Place":
         return cls(None, None)
 
@@ -121,12 +123,12 @@ class HyperellipticCurve:
             raise ValueError("roots must be pairwise distinct (f must be squarefree)")
         self.roots = rs
         self.d = len(rs)
-        self.f_coeffs = self._expand(rs)
 
-    def _expand(self, roots) -> tuple[FieldElement, ...]:
-        # ascending coefficients of prod (x - r), monic
+    @cached_property
+    def f_coeffs(self) -> tuple[FieldElement, ...]:
+        """Ascending coefficients of the monic f(x) = prod (x - r)."""
         coeffs = [self.field.one]
-        for r in roots:
+        for r in self.roots:
             nxt = [self.field.zero] * (len(coeffs) + 1)
             for i, c in enumerate(coeffs):
                 nxt[i + 1] = nxt[i + 1] + c
@@ -154,7 +156,7 @@ class HyperellipticCurve:
         y = y if isinstance(y, FieldElement) else self.field.element(y)
         if y * y != self.f_at(x):
             raise ValueError(f"({x.value}, {y.value}) does not satisfy y^2 = f(x)")
-        return Place.affine(x, y)
+        return Place(x, y)
 
     def monomial_for_pole_number(self, w: int) -> Monomial:
         """The unique canonical monomial with pole order w at infinity."""
@@ -181,28 +183,75 @@ class HyperellipticCurve:
             v = v * place.y.value % q
         return self.field.element(v)
 
+    def evaluation_matrix(self, pole_orders, places) -> np.ndarray:
+        """M[t, i] = value at places[i] of the monomial with pole order pole_orders[t].
+
+        Rows come from a power table of the places' x, times y where the
+        monomial has it; products stay below q^2 < 2^62, so int64 is exact.
+        """
+        monos = [self.monomial_for_pole_number(w) for w in pole_orders]
+        if any(p.is_infinity for p in places):
+            raise ValueError("cannot evaluate at the place at infinity (it is the pole)")
+        q = self.field.q
+        xs = np.array([p.x.value for p in places], dtype=np.int64)
+        ys = np.array([p.y.value for p in places], dtype=np.int64)
+        powers = [np.ones_like(xs)]
+        for _ in range(max((mono.a for mono in monos), default=0)):
+            powers.append(powers[-1] * xs % q)
+        rows = [powers[mono.a] * ys % q if mono.b else powers[mono.a] for mono in monos]
+        return np.array(rows, dtype=np.int64).reshape(len(monos), len(xs))
+
+    def scan_x(self, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The x in 0, 1, 2, ... with f(x) zero or a square, and those f(x) values.
+
+        Stops after limit such x, or scans all of F_q when limit is None. f is a
+        running product over the roots and Euler's criterion a square-and-multiply,
+        both on int64 chunks; q < 2^31 keeps every product below q^2 < 2^62.
+        """
+        q = self.field.q
+        want = q if limit is None else limit
+        xs, fs = [], []
+        for start in range(0, q, SCAN_CHUNK):
+            x = np.arange(start, min(start + SCAN_CHUNK, q), dtype=np.int64)
+            f = np.ones_like(x)
+            for r in self.roots:
+                f *= x - r.value
+                f %= q
+            # Euler's criterion: f^((q-1)/2) is 1 for a nonzero square
+            euler, base, e = np.ones_like(f), f.copy(), (q - 1) // 2
+            while e:
+                if e & 1:
+                    euler = euler * base % q
+                base = base * base % q
+                e >>= 1
+            hit = (f == 0) | (euler == 1)
+            xs.append(x[hit])
+            fs.append(f[hit])
+            if sum(map(len, xs)) >= want:
+                break
+        return np.concatenate(xs)[:want], np.concatenate(fs)[:want]
+
     def enumerate_places(self) -> list[Place]:
         """All rational places: affine points sorted by (x, y), then infinity."""
-        places = []
-        for a in range(self.field.q):
-            fa = self.f_at(a)
-            roots = self.field.sqrt(fa)
-            if roots is None:
-                continue
-            for b in roots:
-                places.append(Place.affine(self.field.element(a), b))
+        field = self.field
+        places = [
+            Place(field.element(a), y)
+            for a, fa in zip(*(v.tolist() for v in self.scan_x()))
+            for y in field.sqrt(fa)
+        ]
         places.append(Place.at_infinity())
         return places
 
-    def select_distinct_x_places(self) -> list[Place]:
-        """One affine place per x-coordinate that carries a point (smallest y kept)."""
-        places = []
-        for a in range(self.field.q):
-            roots = self.field.sqrt(self.f_at(a))
-            if roots is None:
-                continue
-            places.append(Place.affine(self.field.element(a), roots[0]))
-        return places
+    def select_distinct_x_places(self, limit: int | None = None) -> list[Place]:
+        """One affine place per x-coordinate that carries a point (smallest y kept).
+
+        Only the first limit such x-coordinates are taken when limit is given.
+        """
+        field = self.field
+        return [
+            Place(field.element(a), field.sqrt(fa)[0])
+            for a, fa in zip(*(v.tolist() for v in self.scan_x(limit)))
+        ]
 
     def to_dict(self) -> dict:
         return {
@@ -230,7 +279,3 @@ class HyperellipticCurve:
     def __repr__(self):
         return f"HyperellipticCurve(q={self.field.q}, d={self.d}, genus={self.genus})"
 
-
-def make_curve(field: PrimeField, roots) -> HyperellipticCurve:
-    """Build the curve y^2 = prod (x - r) over the given field."""
-    return HyperellipticCurve(field, roots)

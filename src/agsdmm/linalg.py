@@ -65,20 +65,7 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
 def rank(rows, q: int) -> int:
     """Rank over F_q by Gaussian elimination."""
-    m = as_matrix(rows, q)
-    n_rows, n_cols = m.shape
-    r = 0
-    for c in range(n_cols):
-        pivot = _first_nonzero(m[:, c], r)
-        if pivot is None:
-            continue
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        _eliminate_below(m, r, c, q)
-        r += 1
-        if r == n_rows:
-            break
-    return r
+    return len(_pivot_columns(rows, q))
 
 
 def _first_nonzero(col: np.ndarray, start: int):
@@ -86,12 +73,24 @@ def _first_nonzero(col: np.ndarray, start: int):
     return None if nz.size == 0 else start + int(nz[0])
 
 
-def _eliminate_below(m: np.ndarray, r: int, c: int, q: int):
-    inv = pow(int(m[r, c]), -1, q)
-    below = m[r + 1:, c]
-    if below.size:
-        factors = below * inv % q
+def _pivot_columns(rows, q: int) -> list[int]:
+    """The greedy leftmost pivot columns of a matrix over F_q; one per unit of rank."""
+    m = as_matrix(rows, q)
+    n_rows, n_cols = m.shape
+    cols: list[int] = []
+    for c in range(n_cols):
+        r = len(cols)
+        if r == n_rows:
+            break
+        pivot = _first_nonzero(m[:, c], r)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[[r, pivot]] = m[[pivot, r]]
+        factors = m[r + 1:, c] * pow(int(m[r, c]), -1, q) % q
         m[r + 1:] = (m[r + 1:] - factors[:, None] * m[r]) % q
+        cols.append(c)
+    return cols
 
 
 def select_information_columns(rows, q: int) -> list[int]:
@@ -100,22 +99,13 @@ def select_information_columns(rows, q: int) -> list[int]:
     Returns the lexicographically first set of k column indices whose square
     submatrix is invertible; raises if the matrix has rank below k.
     """
-    m = as_matrix(rows, q)
-    k, n_cols = m.shape
-    cols: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot = _first_nonzero(m[:, c], r)
-        if pivot is None:
-            continue
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        _eliminate_below(m, r, c, q)
-        cols.append(c)
-        r += 1
-        if r == k:
-            return cols
-    raise ValueError(f"matrix rank {r} is below its row count {k}; no information set exists")
+    cols = _pivot_columns(rows, q)
+    k = np.shape(rows)[0]
+    if len(cols) < k:
+        raise ValueError(
+            f"matrix rank {len(cols)} is below its row count {k}; no information set exists"
+        )
+    return cols
 
 
 class LUFactorization:

@@ -203,14 +203,8 @@ def empirical_secrecy_audit(
     if n_aud < x:
         raise ValueError(f"only {n_aud} usable places; need at least x={x}")
 
-    phi_eval = [
-        [curve.evaluate(curve.monomial_for_pole_number(w), p).value for p in places]
-        for w in poles.phi
-    ]
-    gamma_eval = [
-        [curve.evaluate(curve.monomial_for_pole_number(w), p).value for p in places]
-        for w in poles.gamma
-    ]
+    phi_eval = curve.evaluation_matrix(poles.phi, places)
+    gamma_eval = curve.evaluation_matrix(poles.gamma, places)
     # shares of the user's A side use phi unless the orientation is swapped
     a_eval = gamma_eval if swapped else phi_eval
     b_eval = phi_eval if swapped else gamma_eval
@@ -225,14 +219,8 @@ def empirical_secrecy_audit(
 
     def share_vectors(data, eval_rows):
         # every mask assignment applied to one fixed plaintext vector
-        vectors = []
-        for masks in product(range(q), repeat=x):
-            coeffs = list(masks) + list(data)
-            vectors.append(tuple(
-                sum(c * eval_rows[t][i] for t, c in enumerate(coeffs)) % q
-                for i in range(n_aud)
-            ))
-        return vectors
+        coeffs = np.array([masks + data for masks in product(range(q), repeat=x)], dtype=np.int64)
+        return [tuple(v) for v in (coeffs @ eval_rows % q).tolist()]
 
     reference: list[Counter] | None = None
     views_uniform = True

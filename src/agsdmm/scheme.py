@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .field import PrimeField, is_prime
-from .function_field import HyperellipticCurve, Monomial, Place
+from .function_field import HyperellipticCurve
 
 
 @dataclass(frozen=True)
@@ -101,11 +101,9 @@ class PoleStructure:
         }
 
 
-def pole_number_table(phi, gamma) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Outer-sum table of two integer sequences and its distinct-entry count."""
-    table = tuple(tuple(p + g for g in gamma) for p in phi)
-    distinct = len({v for row in table for v in row})
-    return table, distinct
+def distinct_sums(a, b) -> tuple[int, ...]:
+    """The distinct entries of the outer-sum table of two integer sequences, ascending."""
+    return tuple(sorted({u + v for u in a for v in b}))
 
 
 def pole_sequences(m: int, n: int, x: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -129,8 +127,8 @@ def derive_parameters(m: int, n: int, x: int) -> PoleStructure:
     """Pole order sequences for partition counts m (even), n and collusion x."""
     d, phi, gamma = pole_sequences(m, n, x)
     g = (d - 1) // 2
-    table, _ = pole_number_table(phi, gamma)
-    distinct = tuple(sorted({v for row in table for v in row}))
+    table = tuple(tuple(p + w for w in gamma) for p in phi)
+    distinct = distinct_sums(phi, gamma)
     recovery = tuple(sorted(phi[x + j] + gamma[x + jp] for j in range(m) for jp in range(n)))
 
     # structural guarantees of the sequence choice; checked explicitly, not by
@@ -169,16 +167,10 @@ def resolve_orientation(m: int, n: int) -> bool:
     raise ValueError(f"at least one of m={m}, n={n} must be even")
 
 
-def _distinct_x_count(d: int, q: int) -> int:
-    # x-coordinates a with f(a) = prod(a - i) zero or a square mod q
-    count = 0
-    for a in range(q):
-        fa = 1
-        for r in range(d):
-            fa = fa * (a - r) % q
-        if fa == 0 or pow(fa, (q - 1) // 2, q) == 1:
-            count += 1
-    return count
+def _usable_x_count(d: int, q: int, required: int) -> int:
+    # distinct-x places of the scheme's curve over F_q, counted up to required
+    curve = HyperellipticCurve(PrimeField(q), range(d))
+    return len(curve.scan_x(required)[0])
 
 
 def smallest_admissible_field(d: int, required_places: int) -> int:
@@ -189,7 +181,7 @@ def smallest_admissible_field(d: int, required_places: int) -> int:
     cap = t * t + 2000
     q = d + 2
     while q <= cap:
-        if is_prime(q) and _distinct_x_count(d, q) >= required_places:
+        if is_prime(q) and _usable_x_count(d, q, required_places) >= required_places:
             return q
         q += 2
     raise RuntimeError(f"no admissible field found below {cap} for d={d}")
@@ -225,24 +217,18 @@ class SchemeInstance:
         self.gamma_monomials = [curve.monomial_for_pole_number(w) for w in poles.gamma]
 
         # V[i][t] = basis_t(P_i); invertible because the places form an information set
-        self.v_matrix = self._evaluate(self.basis, places).T.copy()
+        self.v_matrix = curve.evaluation_matrix(poles.distinct_poles, places).T.copy()
         # decoder rows: the coefficients of the recovery poles, in (j, j') row-major order
         index = {w: t for t, w in enumerate(poles.distinct_poles)}
         recovery = [index[poles.recovery_pole(j, jp)]
                     for j in range(poles.m) for jp in range(poles.n)]
         self._decoder = linalg.LUFactorization(self.v_matrix, self.q).inverse_rows(recovery)
-        self._phi_eval = self._evaluate(self.phi_monomials, places)
-        self._gamma_eval = self._evaluate(self.gamma_monomials, places)
+        self._phi_eval = curve.evaluation_matrix(poles.phi, places)
+        self._gamma_eval = curve.evaluation_matrix(poles.gamma, places)
 
     @property
     def n_workers(self) -> int:
         return self.poles.n_workers
-
-    def _evaluate(self, monomials, places) -> np.ndarray:
-        return np.array(
-            [[self.curve.evaluate(mono, p).value for p in places] for mono in monomials],
-            dtype=np.int64,
-        )
 
     # -- encoding ----------------------------------------------------------
 
@@ -332,8 +318,8 @@ class SchemeInstance:
 
     def star_product_dimension(self) -> int:
         """Rank of all pairwise products of the two sides' codeword generators."""
-        fa = self._evaluate(self.phi_monomials, self.candidate_places)
-        gb = self._evaluate(self.gamma_monomials, self.candidate_places)
+        fa = self.curve.evaluation_matrix(self.poles.phi, self.candidate_places)
+        gb = self.curve.evaluation_matrix(self.poles.gamma, self.candidate_places)
         rows = [fa[j] * gb[jp] % self.q for j, jp in product(range(len(fa)), range(len(gb)))]
         return linalg.rank(np.array(rows, dtype=np.int64), self.q)
 
@@ -366,7 +352,7 @@ def check_field_order(poles: PoleStructure, q: int) -> None:
     if q <= poles.d:
         raise ValueError(f"field order {q} too small: need q > d = {poles.d} distinct roots")
     required = poles.code_degree + 1
-    available = _distinct_x_count(poles.d, q)
+    available = _usable_x_count(poles.d, q, required)
     if available < required:
         raise ValueError(
             f"field order {q} admits only {available} usable places; need at least {required}"
@@ -385,15 +371,12 @@ def build_scheme(params: SchemeParams) -> SchemeInstance:
         q = params.q
         check_field_order(poles, q)
 
-    field = PrimeField(q)
-    curve = HyperellipticCurve(field, range(poles.d))
-    candidates = curve.select_distinct_x_places()
-
-    basis = [curve.monomial_for_pole_number(w) for w in poles.distinct_poles]
-    evals = np.array(
-        [[curve.evaluate(mono, p).value for p in candidates] for mono in basis],
-        dtype=np.int64,
-    )
+    # a nonzero function of pole order <= code_degree has at most code_degree
+    # zeros, so the first code_degree + 1 places already have full rank N, and
+    # greedy leftmost pivots pick the same columns from them as from all places
+    curve = HyperellipticCurve(PrimeField(q), range(poles.d))
+    candidates = curve.select_distinct_x_places(poles.code_degree + 1)
+    evals = curve.evaluation_matrix(poles.distinct_poles, candidates)
     columns = linalg.select_information_columns(evals, q)
     places = [candidates[c] for c in columns]
     return SchemeInstance(params, poles, swapped, curve, candidates, places, columns)

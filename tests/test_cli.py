@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from agsdmm import read_matrix_csv, write_matrix_csv
+from agsdmm import SchemeParams, build_scheme, read_matrix_csv, run_protocol, write_matrix_csv
 from agsdmm.cli import main
 from agsdmm.protocol import SecrecyAuditReport
 
@@ -107,6 +107,31 @@ def test_multiply_rejects_descriptor_missing_a_key(tmp_path, capsys):
 def test_build_invalid_field(tmp_path):
     assert main(["build", "--m", "2", "--n", "2", "--x", "1",
                  "--q", "13", "--out", str(tmp_path / "s.json")]) == 1
+
+
+def test_largest_supported_explicit_field(tmp_path, capsys):
+    # q = 2^31 - 1 is the largest accepted field order; the place scan stops
+    # once it has the places it needs instead of walking all of F_q
+    q = 2**31 - 1
+    assert main(["params", "--m", "2", "--n", "2", "--x", "1", "--q", str(q)]) == 0
+    assert json.loads(capsys.readouterr().out)["q"] == q
+    out = tmp_path / "scheme.json"
+    assert main(["build", "--m", "2", "--n", "2", "--x", "1", "--q", str(q),
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["q"] == q
+    capsys.readouterr()
+
+    inst = build_scheme(SchemeParams(4, 3, 2, q=q))
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, q, size=(8, 5), dtype=np.int64)
+    b = rng.integers(0, q, size=(5, 9), dtype=np.int64)
+    product, _ = run_protocol(a, b, inst, rng)
+    assert product.tolist() == ((a.astype(object) @ b.astype(object)) % q).tolist()
+
+    assert main(["build", "--m", "2", "--n", "2", "--x", "1", "--q", str(2**31 + 1),
+                 "--out", str(tmp_path / "too_big.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_audit_pass(capsys):

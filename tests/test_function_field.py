@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from agsdmm import (
@@ -9,16 +10,16 @@ from agsdmm import (
     PrimeField,
     WeierstrassSemigroup,
     is_prime,
-    make_curve,
 )
+from agsdmm.function_field import SCAN_CHUNK
 
 
 @pytest.fixture
 def curve7():
-    return make_curve(PrimeField(7), (0, 1, 2))
+    return HyperellipticCurve(PrimeField(7), (0, 1, 2))
 
 
-def test_make_curve_expands_f(curve7):
+def test_curve_expands_f(curve7):
     # (x)(x-1)(x-2) = x^3 - 3x^2 + 2x = x^3 + 4x^2 + 2x over F_7
     assert curve7.d == 3
     assert curve7.genus == 1
@@ -27,18 +28,18 @@ def test_make_curve_expands_f(curve7):
 
 @pytest.mark.parametrize("d,genus", [(3, 1), (5, 2), (7, 3), (1, 0)])
 def test_genus_formula(d, genus):
-    curve = make_curve(PrimeField(11), range(d))
+    curve = HyperellipticCurve(PrimeField(11), range(d))
     assert curve.genus == genus
 
 
-def test_make_curve_rejects_bad_inputs():
+def test_curve_rejects_bad_inputs():
     f = PrimeField(7)
     with pytest.raises(ValueError):
-        make_curve(f, (0, 1, 1))  # repeated root
+        HyperellipticCurve(f, (0, 1, 1))  # repeated root
     with pytest.raises(ValueError):
-        make_curve(f, (0, 1, 2, 3))  # even degree
+        HyperellipticCurve(f, (0, 1, 2, 3))  # even degree
     with pytest.raises(ValueError):
-        make_curve(f, (0, 1, PrimeField(11).element(2)))  # foreign field
+        HyperellipticCurve(f, (0, 1, PrimeField(11).element(2)))  # foreign field
     with pytest.raises(ValueError):
         PrimeField(4)  # even field order is impossible to construct
 
@@ -72,10 +73,10 @@ def test_semigroup_rejects_even_d():
 
 
 def test_monomial_for_pole_number_examples():
-    c3 = make_curve(PrimeField(7), (0, 1, 2))
+    c3 = HyperellipticCurve(PrimeField(7), (0, 1, 2))
     assert c3.monomial_for_pole_number(3) == Monomial(0, 1)  # y
     assert c3.monomial_for_pole_number(4) == Monomial(2, 0)  # x^2
-    c5 = make_curve(PrimeField(11), range(5))
+    c5 = HyperellipticCurve(PrimeField(11), range(5))
     assert c5.monomial_for_pole_number(7) == Monomial(1, 1)  # x y
     with pytest.raises(ValueError):
         c3.monomial_for_pole_number(1)  # gap
@@ -83,7 +84,7 @@ def test_monomial_for_pole_number_examples():
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9])
 def test_monomials_biject_with_pole_numbers(d):
-    curve = make_curve(PrimeField(23), range(d))
+    curve = HyperellipticCurve(PrimeField(23), range(d))
     sg = curve.semigroup()
     k = 4 * curve.genus + 5
     basis = curve.riemann_roch_basis(k)
@@ -93,10 +94,10 @@ def test_monomials_biject_with_pole_numbers(d):
 
 
 def test_riemann_roch_basis_examples():
-    c3 = make_curve(PrimeField(7), (0, 1, 2))
+    c3 = HyperellipticCurve(PrimeField(7), (0, 1, 2))
     assert c3.riemann_roch_basis(1) == [Monomial(0, 0)]
     assert c3.riemann_roch_basis(3) == [Monomial(0, 0), Monomial(1, 0), Monomial(0, 1)]
-    c5 = make_curve(PrimeField(11), range(5))
+    c5 = HyperellipticCurve(PrimeField(11), range(5))
     basis = c5.riemann_roch_basis(5)
     assert basis == [Monomial(0, 0), Monomial(1, 0), Monomial(2, 0), Monomial(0, 1)]
     assert len(basis) == 5 + 1 - 2
@@ -104,7 +105,7 @@ def test_riemann_roch_basis_examples():
 
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_riemann_roch_dimension_beyond_gaps(d):
-    curve = make_curve(PrimeField(29), range(d))
+    curve = HyperellipticCurve(PrimeField(29), range(d))
     g = curve.genus
     for k in range(2 * g - 1, 2 * g + 6):
         assert len(curve.riemann_roch_basis(k)) == k + 1 - g
@@ -153,7 +154,7 @@ def test_enumerate_places_example(curve7):
 @pytest.mark.parametrize("q", [7, 11, 13, 17, 23, 101])
 @pytest.mark.parametrize("d", [3, 5])
 def test_hasse_weil_bound(q, d):
-    curve = make_curve(PrimeField(q), range(d))
+    curve = HyperellipticCurve(PrimeField(q), range(d))
     count = len(curve.enumerate_places())
     assert abs(count - (q + 1)) <= math.isqrt(4 * curve.genus**2 * q)
 
@@ -166,7 +167,7 @@ def test_select_distinct_x_example(curve7):
 
 @pytest.mark.parametrize("q,d", [(11, 3), (17, 3), (23, 5)])
 def test_select_distinct_x_properties(q, d):
-    curve = make_curve(PrimeField(q), range(d))
+    curve = HyperellipticCurve(PrimeField(q), range(d))
     places = curve.select_distinct_x_places()
     xs = [p.x.value for p in places]
     assert len(set(xs)) == len(xs)
@@ -174,6 +175,63 @@ def test_select_distinct_x_properties(q, d):
     assert 2 * len(places) >= affine
     for root in curve.roots:
         assert (root.value, 0) in [p.coords() for p in places]
+
+
+def _brute_force_x_scan(curve):
+    # reference: scalar f_at and the field's square root at every x
+    xs, fs = [], []
+    for a in range(curve.field.q):
+        fa = curve.f_at(a)
+        if curve.field.sqrt(fa) is not None:
+            xs.append(a)
+            fs.append(fa.value)
+    return xs, fs
+
+
+# q = 1 and q = 3 (mod 4), which take different Tonelli-Shanks branches, small and large
+@pytest.mark.parametrize("q", [13, 19, 1009, 1019])
+@pytest.mark.parametrize("roots", [(0, 1, 2), (0, 1, 2, 3, 4), (3, 7, 11)])
+def test_scan_matches_brute_force_reference(q, roots):
+    curve = HyperellipticCurve(PrimeField(q), roots)
+    xs, fs = _brute_force_x_scan(curve)
+    got_x, got_f = curve.scan_x()
+    assert got_x.tolist() == xs and got_f.tolist() == fs
+    places = curve.select_distinct_x_places()
+    assert [p.coords() for p in places] == [
+        (a, curve.field.sqrt(fa)[0].value) for a, fa in zip(xs, fs)
+    ]
+    expected = [(a, y.value) for a, fa in zip(xs, fs) for y in curve.field.sqrt(fa)]
+    assert [p.coords() for p in curve.enumerate_places()[:-1]] == expected
+
+
+def test_scan_limit_returns_prefix():
+    # q = 8209 > 2 SCAN_CHUNK, so some limits stop inside the second chunk
+    q = next(p for p in range(2 * SCAN_CHUNK + 1, 3 * SCAN_CHUNK, 2) if is_prime(p))
+    curve = HyperellipticCurve(PrimeField(q), range(5))
+    full_x, full_f = curve.scan_x()
+    assert SCAN_CHUNK // 2 < len(full_x) < 2 * SCAN_CHUNK
+    for k in (0, 1, 7, SCAN_CHUNK // 2, SCAN_CHUNK, len(full_x), len(full_x) + 5):
+        x, f = curve.scan_x(k)
+        assert x.tolist() == full_x[:k].tolist() and f.tolist() == full_f[:k].tolist()
+    places = curve.select_distinct_x_places(10)
+    assert places == curve.select_distinct_x_places()[:10]
+
+
+@pytest.mark.parametrize("q,d", [(7, 3), (23, 5), (101, 7), (1009, 3)])
+def test_evaluation_matrix_matches_scalar_evaluate(q, d):
+    curve = HyperellipticCurve(PrimeField(q), range(d))
+    places = curve.enumerate_places()[:-1]
+    poles = [w for w in range(3 * d + 4) if curve.semigroup().is_pole_number(w)]
+    mat = curve.evaluation_matrix(poles, places)
+    assert mat.dtype == np.int64 and mat.shape == (len(poles), len(places))
+    for t, w in enumerate(poles):
+        mono = curve.monomial_for_pole_number(w)
+        assert mat[t].tolist() == [curve.evaluate(mono, p).value for p in places]
+    assert curve.evaluation_matrix([], places).shape == (0, len(places))
+    with pytest.raises(ValueError):
+        curve.evaluation_matrix([0], [Place.at_infinity()])
+    with pytest.raises(ValueError):
+        curve.evaluation_matrix([1], places)  # 1 is a gap
 
 
 def test_monomial_products_and_str():

@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import json
 import math
 import os
@@ -16,11 +18,12 @@ from agsdmm import (
     all_square_submatrices_invertible,
     build_scheme,
     derive_parameters,
+    distinct_sums,
     load_scheme,
-    pole_number_table,
     rank,
     read_matrix_csv,
     save_scheme,
+    select_information_columns,
     smallest_admissible_field,
     write_matrix_csv,
 )
@@ -123,13 +126,10 @@ def test_resolve_orientation():
         resolve_orientation(3, 3)
 
 
-def test_pole_number_table_examples():
-    _, count = pole_number_table((0, 1, 2, 9, 12), (0, 3, 6, 9, 10))
-    assert count == 18
-    table, count = pole_number_table((0,), (0,))
-    assert table == ((0,),) and count == 1
-    _, count = pole_number_table((0, 3, 4), (0, 2, 4))
-    assert count == 8
+def test_distinct_sums_examples():
+    assert len(distinct_sums((0, 1, 2, 9, 12), (0, 3, 6, 9, 10))) == 18
+    assert distinct_sums((0,), (0,)) == (0,)
+    assert distinct_sums((0, 3, 4), (0, 2, 4)) == (0, 2, 3, 4, 5, 6, 7, 8)
 
 
 @pytest.mark.parametrize("m,n,x", SWEEP)
@@ -173,6 +173,37 @@ def test_smallest_admissible_field_search():
     # d = 3 needs 9 distinct-x places: 5, 7, 11, 13 are all too small
     assert smallest_admissible_field(3, 9) == 17
     assert smallest_admissible_field(3, 1) == 5
+
+
+# SHA-256 of json.dumps(to_dict(), sort_keys=True), recorded before the curve
+# layer was vectorized; a changed digest means a changed field, place choice or curve
+DESCRIPTOR_DIGESTS = {
+    (2, 2, 1): "2d10b5bbd7d0ba483143486828e18602250fdec4fba30a21b408d0ca6d94a17e",
+    (4, 3, 2): "84481e73f35614cf4ce07278128a0595e12b44d0cbac0bf47b88b7eec54d733e",
+    (3, 4, 2): "40e425ab3ddf2cdb019a3d5895bd489f76044c4e860ba0802ffb99a486e02d51",
+    (8, 8, 4): "07e3d5a308edab8394fac88a67810f93425f5afc1847944677e19612ea76e98b",
+}
+
+
+@pytest.mark.parametrize("params", sorted(DESCRIPTOR_DIGESTS))
+def test_descriptor_digest_is_pinned(params):
+    text = json.dumps(build_scheme(SchemeParams(*params)).to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DESCRIPTOR_DIGESTS[params]
+
+
+@pytest.mark.parametrize("m,n,x,q", [(2, 2, 1, 101), (4, 3, 2, 149), (3, 4, 2, 101), (6, 5, 3, 211)])
+def test_candidate_prefix_gives_the_same_information_set(m, n, x, q):
+    # build scans only the first code_degree + 1 places; every place of F_q
+    # must give the same pivot columns and star-product dimension
+    inst = build_scheme(SchemeParams(m, n, x, q=q))
+    every = inst.curve.select_distinct_x_places()
+    assert len(inst.candidate_places) == inst.poles.code_degree + 1 < len(every)
+    assert inst.candidate_places == every[:len(inst.candidate_places)]
+    evals = inst.curve.evaluation_matrix(inst.poles.distinct_poles, every)
+    assert select_information_columns(evals, inst.q) == inst.column_indices
+    full = copy.copy(inst)
+    full.candidate_places = every
+    assert full.star_product_dimension() == inst.star_product_dimension()
 
 
 def test_build_with_explicit_field():
