@@ -26,6 +26,7 @@ from .linalg import (
     LUFactorization,
     SingularMatrixError,
     all_square_submatrices_invertible,
+    echelon,
     matmul_mod,
     rank,
     select_information_columns,

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _PRIME_CAP = 2**31
 
 
+# memoized so that a field built on an order just tested does not divide again
+@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test (supported range n < 2**31)."""
     if n >= _PRIME_CAP:
@@ -68,12 +72,21 @@ class PrimeField:
 
     def sqrt(self, a):
         """Both square roots of a as a tuple, ({0},) for zero, or None if a is a non-residue."""
+        if not self.is_square(a):
+            return None
+        return self.square_roots(a)
+
+    def square_roots(self, a):
+        """sqrt for an a already known to be zero or a square, without the residue test.
+
+        Raises ValueError if a turns out not to be a square.
+        """
         v = self._residue(a)
         if v == 0:
             return (self.zero,)
-        if not self.is_square(v):
-            return None
         r = self._sqrt_tonelli_shanks(v)
+        if r * r % self.q != v:
+            raise ValueError(f"{v} is not a square mod {self.q}")
         lo, hi = sorted((r, self.q - r))
         return (FieldElement(lo, self), FieldElement(hi, self))
 

@@ -113,16 +113,25 @@ class HyperellipticCurve:
 
     def __init__(self, field: PrimeField, roots):
         self.field = field
-        rs = tuple(r if isinstance(r, FieldElement) else field.element(r) for r in roots)
-        for r in rs:
-            if r.field != field:
-                raise ValueError("roots must live in the curve's base field")
-        if len(rs) % 2 == 0:
-            raise ValueError(f"f must have odd degree, got {len(rs)} roots")
-        if len(set(r.value for r in rs)) != len(rs):
+        values = []
+        for r in roots:
+            if isinstance(r, FieldElement):
+                if r.field != field:
+                    raise ValueError("roots must live in the curve's base field")
+                values.append(r.value)
+            else:
+                values.append(int(r) % field.q)
+        if len(values) % 2 == 0:
+            raise ValueError(f"f must have odd degree, got {len(values)} roots")
+        if len(set(values)) != len(values):
             raise ValueError("roots must be pairwise distinct (f must be squarefree)")
-        self.roots = rs
-        self.d = len(rs)
+        # plain residues, so that a curve built only to be scanned costs no FieldElements
+        self.root_values = tuple(values)
+        self.d = len(values)
+
+    @cached_property
+    def roots(self) -> tuple[FieldElement, ...]:
+        return tuple(self.field.element(v) for v in self.root_values)
 
     @cached_property
     def f_coeffs(self) -> tuple[FieldElement, ...]:
@@ -204,6 +213,8 @@ class HyperellipticCurve:
     def scan_x(self, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The x in 0, 1, 2, ... with f(x) zero or a square, and those f(x) values.
 
+        Every returned f(x) is zero or a square, so field.square_roots applies.
+
         Stops after limit such x, or scans all of F_q when limit is None. f is a
         running product over the roots and Euler's criterion a square-and-multiply,
         both on int64 chunks; q < 2^31 keeps every product below q^2 < 2^62.
@@ -214,8 +225,8 @@ class HyperellipticCurve:
         for start in range(0, q, SCAN_CHUNK):
             x = np.arange(start, min(start + SCAN_CHUNK, q), dtype=np.int64)
             f = np.ones_like(x)
-            for r in self.roots:
-                f *= x - r.value
+            for r in self.root_values:
+                f *= x - r
                 f %= q
             # Euler's criterion: f^((q-1)/2) is 1 for a nonzero square
             euler, base, e = np.ones_like(f), f.copy(), (q - 1) // 2
@@ -237,7 +248,7 @@ class HyperellipticCurve:
         places = [
             Place(field.element(a), y)
             for a, fa in zip(*(v.tolist() for v in self.scan_x()))
-            for y in field.sqrt(fa)
+            for y in field.square_roots(fa)
         ]
         places.append(Place.at_infinity())
         return places
@@ -249,14 +260,14 @@ class HyperellipticCurve:
         """
         field = self.field
         return [
-            Place(field.element(a), field.sqrt(fa)[0])
+            Place(field.element(a), field.square_roots(fa)[0])
             for a, fa in zip(*(v.tolist() for v in self.scan_x(limit)))
         ]
 
     def to_dict(self) -> dict:
         return {
             "q": self.field.q,
-            "roots": [r.value for r in self.roots],
+            "roots": list(self.root_values),
             "d": self.d,
             "genus": self.genus,
         }

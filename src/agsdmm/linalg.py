@@ -17,13 +17,18 @@ import numpy as np
 SUBMATRIX_CHECK_CAP = 10**6
 FLOAT64_EXACT = 2**53
 INT64_EXACT = 2**63
+# columns eliminated per step of the blocked elimination and its triangular solves
+PANEL_WIDTH = 32
 
 
 class SingularMatrixError(ValueError):
-    """Raised when a square system is rank deficient; carries the actual rank."""
+    """Raised when a matrix's rank is below its row count; carries the actual rank."""
 
     def __init__(self, rank: int, size: int):
-        super().__init__(f"matrix is singular: rank {rank} < {size}")
+        super().__init__(
+            f"matrix rank {rank} is below its row count {size}; "
+            "no invertible square column submatrix exists"
+        )
         self.rank = rank
         self.size = size
 
@@ -38,9 +43,17 @@ def as_matrix(rows, q: int) -> np.ndarray:
 
 def matmul_mod(a, b, q: int) -> np.ndarray:
     """Exact (a @ b) mod q for integer matrices with entries of any sign or size."""
-    a = np.asarray(a, dtype=np.int64) % q
-    b = np.asarray(b, dtype=np.int64) % q
-    return _matmul_reduced(a, b, q)
+    return _matmul_reduced(_reduced(a, q), _reduced(b, q), q)
+
+
+def _reduced(m, q: int) -> np.ndarray:
+    # m as int64 in [0, q); the remainder pass runs only when a check finds an
+    # entry outside, as it does not for shares fresh from encode. Read as
+    # unsigned, a negative entry is at least 2^63, so one max covers both ends.
+    m = np.asarray(m, dtype=np.int64)
+    if m.size and m.view(np.uint64).max() >= q:
+        m = m % q
+    return m
 
 
 def _matmul_reduced(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -65,32 +78,68 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
 def rank(rows, q: int) -> int:
     """Rank over F_q by Gaussian elimination."""
-    return len(_pivot_columns(rows, q))
+    return len(_eliminate(as_matrix(rows, q), q)[0])
 
 
-def _first_nonzero(col: np.ndarray, start: int):
-    nz = np.nonzero(col[start:])[0]
-    return None if nz.size == 0 else start + int(nz[0])
+def echelon(rows, q: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Greedy leftmost pivot columns of a k x n matrix A over F_q, with their LU factors.
+
+    Returns (cols, perm, lu). cols is the lexicographically first set of
+    columns that spans the column space, one per unit of rank r. perm lists
+    the rows of A in pivot order, so that A[perm][:, cols] = L U. lu is the
+    k x r compact factor: unit lower trapezoidal L below its diagonal and the
+    r x r upper triangular U on and above it.
+    """
+    a = as_matrix(rows, q)
+    cols, perm = _eliminate(a, q)
+    return cols, np.array(perm, dtype=np.int64), a[:, cols]
 
 
-def _pivot_columns(rows, q: int) -> list[int]:
-    """The greedy leftmost pivot columns of a matrix over F_q; one per unit of rank."""
-    m = as_matrix(rows, q)
-    n_rows, n_cols = m.shape
+def _eliminate(a: np.ndarray, q: int) -> tuple[list[int], list[int]]:
+    """Blocked first-nonzero-pivot elimination of a reduced int64 matrix, in place.
+
+    Columns are taken PANEL_WIDTH at a time. Inside a panel each pivot
+    updates only the panel, storing its multipliers below the pivot as in
+    LAPACK's getrf; each panel then updates every column to its right with a
+    triangular solve on its pivot rows and one product mod q for the rows
+    below them. The pivots are those of the unblocked greedy elimination.
+    """
+    k, n = a.shape
     cols: list[int] = []
-    for c in range(n_cols):
-        r = len(cols)
-        if r == n_rows:
+    perm = list(range(k))
+    for j0 in range(0, n, PANEL_WIDTH):
+        r0 = len(cols)
+        if r0 == k:
             break
-        pivot = _first_nonzero(m[:, c], r)
-        if pivot is None:
+        j1 = min(j0 + PANEL_WIDTH, n)
+        for c in range(j0, j1):
+            r = len(cols)
+            if not a[r, c]:
+                nz = np.flatnonzero(a[r:, c])
+                if nz.size == 0:
+                    continue
+                p = r + int(nz[0])
+                a[[r, p]] = a[[p, r]]
+                perm[r], perm[p] = perm[p], perm[r]
+            cols.append(c)
+            if r + 1 == k:
+                break
+            factors = a[r + 1:, c] * pow(int(a[r, c]), -1, q) % q
+            a[r + 1:, c] = factors
+            trail = a[r + 1:, c + 1:j1]
+            trail -= factors[:, None] * a[r, c + 1:j1]
+            trail %= q
+        r1 = len(cols)
+        if r1 == r0 or r1 == k or j1 == n:
             continue
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        factors = m[r + 1:, c] * pow(int(m[r, c]), -1, q) % q
-        m[r + 1:] = (m[r + 1:] - factors[:, None] * m[r]) % q
-        cols.append(c)
-    return cols
+        # U12 = L11^-1 A12 on the panel's pivot rows, then A22 -= L21 U12
+        pivots = cols[r0:r1]
+        u = a[r0:r1, j1:]
+        u[:] = _matmul_reduced(_unit_lower_inverse(a[r0:r1, pivots], q), u, q)
+        below = a[r1:, j1:]
+        below -= _matmul_reduced(a[r1:, pivots], u, q)
+        below %= q
+    return cols, perm
 
 
 def select_information_columns(rows, q: int) -> list[int]:
@@ -99,67 +148,83 @@ def select_information_columns(rows, q: int) -> list[int]:
     Returns the lexicographically first set of k column indices whose square
     submatrix is invertible; raises if the matrix has rank below k.
     """
-    cols = _pivot_columns(rows, q)
-    k = np.shape(rows)[0]
-    if len(cols) < k:
-        raise ValueError(
-            f"matrix rank {len(cols)} is below its row count {k}; no information set exists"
-        )
-    return cols
+    return LUFactorization(rows, q).columns
 
 
 class LUFactorization:
-    """Compact PA = LU of an invertible matrix over F_q, reusable across right-hand sides.
+    """Compact P S = L U over F_q, reusable across right-hand sides.
 
-    L is unit lower triangular and stored below the diagonal of U in a single
-    array; the row permutation comes from first-nonzero pivoting.
+    S is the square submatrix on the greedy leftmost information set
+    (columns) of a full-row-rank k x n matrix; for an invertible square
+    matrix, S is the matrix itself. L is unit lower triangular and stored
+    below the diagonal of U in a single array; the row permutation P comes
+    from first-nonzero pivoting. One elimination gives both the columns and
+    the factors.
     """
 
     def __init__(self, rows, q: int):
-        a = as_matrix(rows, q)
-        n, n_cols = a.shape
-        if n != n_cols:
-            raise ValueError(f"LU factorization needs a square matrix, got {a.shape}")
-        perm = list(range(n))
-        for k in range(n):
-            pivot = _first_nonzero(a[:, k], k)
-            if pivot is None:
-                raise SingularMatrixError(rank(rows, q), n)
-            if pivot != k:
-                a[[k, pivot]] = a[[pivot, k]]
-                perm[k], perm[pivot] = perm[pivot], perm[k]
-            inv = pow(int(a[k, k]), -1, q)
-            factors = a[k + 1:, k] * inv % q
-            a[k + 1:, k] = factors
-            a[k + 1:, k + 1:] = (a[k + 1:, k + 1:] - factors[:, None] * a[k, k + 1:]) % q
+        cols, perm, lu = echelon(rows, q)
+        k = lu.shape[0]
+        if len(cols) < k:
+            raise SingularMatrixError(len(cols), k)
         self.q = q
-        self.size = n
-        self._lu = a
+        self.size = k
+        self.columns = cols
+        self._lu = lu
         self._perm = perm
-        self._diag_inv = [pow(int(a[i, i]), -1, q) for i in range(n)]
+        self._diag_inv = np.array([pow(int(v), -1, q) for v in np.diagonal(lu)], dtype=np.int64)
 
-    def inverse_rows(self, rows) -> np.ndarray:
-        """The listed rows of the inverse matrix, in the order given (len(rows) x size).
+    def inverse_columns(self, columns) -> np.ndarray:
+        """The listed columns of S^-1, in the order given (size x len(columns)).
 
-        With PV = LU, the rows Z of V^-1 solve Z V = E for E the matching rows
-        of the identity: first Y U = E, then W L = Y, one column per numpy
-        step, and Z is W with its columns moved back through P.
+        With P S = L U, the columns X of S^-1 solve S X = E for E the matching
+        columns of the identity: first L Y = P E, then U X = Y. Each solve
+        takes PANEL_WIDTH rows at a time: one product mod q removes the rows
+        already solved, and one more applies the inverse of the diagonal block.
         """
         n, q, lu = self.size, self.q, self._lu
-        rows = [int(r) for r in rows]
-        if any(not 0 <= r < n for r in rows):
-            raise ValueError(f"row indices must lie in [0, {n}), got {rows}")
-        z = np.zeros((len(rows), n), dtype=np.int64)
-        z[np.arange(len(rows)), rows] = 1
-        for j in range(n):
-            acc = _matmul_reduced(z[:, :j], lu[:j, j], q)
-            z[:, j] = (z[:, j] - acc) * self._diag_inv[j] % q
-        for j in reversed(range(n - 1)):
-            acc = _matmul_reduced(z[:, j + 1:], lu[j + 1:, j], q)
-            z[:, j] = (z[:, j] - acc) % q
-        out = np.empty_like(z)
-        out[:, self._perm] = z
-        return out
+        columns = [int(c) for c in columns]
+        if any(not 0 <= c < n for c in columns):
+            raise ValueError(f"column indices must lie in [0, {n}), got {columns}")
+        where = np.empty(n, dtype=np.int64)
+        where[self._perm] = np.arange(n)
+        x = np.zeros((n, len(columns)), dtype=np.int64)
+        x[where[columns], np.arange(len(columns))] = 1
+        for i0 in range(0, n, PANEL_WIDTH):
+            i1 = min(i0 + PANEL_WIDTH, n)
+            block = x[i0:i1]
+            if i0:
+                block -= _matmul_reduced(lu[i0:i1, :i0], x[:i0], q)
+                block %= q
+            block[:] = _matmul_reduced(_unit_lower_inverse(lu[i0:i1, i0:i1], q), block, q)
+        for i1 in range(n, 0, -PANEL_WIDTH):
+            i0 = max(i1 - PANEL_WIDTH, 0)
+            block = x[i0:i1]
+            if i1 < n:
+                block -= _matmul_reduced(lu[i0:i1, i1:], x[i1:], q)
+                block %= q
+            upper = _upper_inverse(lu[i0:i1, i0:i1], self._diag_inv[i0:i1], q)
+            block[:] = _matmul_reduced(upper, block, q)
+        return x
+
+
+def _unit_lower_inverse(lower: np.ndarray, q: int) -> np.ndarray:
+    """Inverse of the unit lower triangular matrix stored below the diagonal of a square array."""
+    inv = np.eye(lower.shape[0], dtype=np.int64)
+    for i in range(lower.shape[0] - 1):
+        inv[i + 1:] -= lower[i + 1:, i, None] * inv[i]
+        inv[i + 1:] %= q
+    return inv
+
+
+def _upper_inverse(upper: np.ndarray, diag_inv: np.ndarray, q: int) -> np.ndarray:
+    """Inverse of the upper triangular matrix on and above the diagonal of a square array."""
+    inv = np.eye(upper.shape[0], dtype=np.int64)
+    for i in reversed(range(upper.shape[0])):
+        inv[i] = inv[i] * diag_inv[i] % q
+        inv[:i] -= upper[:i, i, None] * inv[i]
+        inv[:i] %= q
+    return inv
 
 
 def all_square_submatrices_invertible(rows, q: int, cap: int = SUBMATRIX_CHECK_CAP) -> bool:

@@ -145,6 +145,7 @@ class SecrecyAuditReport:
     q: int
     n_workers: int
     place_xs: list[int]
+    mask_generator: list[list[int]]
     subsets: list[tuple[int, ...]]
     subsets_exhaustive: bool
     plaintext_count: int
@@ -254,6 +255,7 @@ def empirical_secrecy_audit(
         m=m, n=n, x=x, q=q,
         n_workers=n_aud,
         place_xs=[p.x.value for p in places],
+        mask_generator=phi_eval[:x].tolist(),
         subsets=subsets,
         subsets_exhaustive=exhaustive,
         plaintext_count=len(plaintexts),

@@ -179,7 +179,8 @@ def smallest_admissible_field(d: int, required_places: int) -> int:
     # any prime at or above this square is sufficient by the point-count bound
     t = g + math.isqrt(g * g + 2 * required_places) + 2
     cap = t * t + 2000
-    q = d + 2
+    # a curve over F_q has at most q distinct x-coordinates, so no smaller q passes
+    q = max(d + 2, required_places) | 1
     while q <= cap:
         if is_prime(q) and _usable_x_count(d, q, required_places) >= required_places:
             return q
@@ -201,7 +202,7 @@ class EncodedShares:
 class SchemeInstance:
     """A fully built scheme: curve, information-set places, and evaluation system."""
 
-    def __init__(self, params, poles, swapped, curve, candidate_places, places, column_indices):
+    def __init__(self, params, poles, swapped, curve, candidate_places, information_set):
         self.params = params
         self.poles = poles
         self.swapped = swapped
@@ -209,20 +210,23 @@ class SchemeInstance:
         self.field = curve.field
         self.q = curve.field.q
         self.candidate_places = candidate_places
-        self.places = places
-        self.column_indices = column_indices
+        self.column_indices = information_set.columns
+        places = self.places = [candidate_places[c] for c in self.column_indices]
 
         self.basis = [curve.monomial_for_pole_number(w) for w in poles.distinct_poles]
         self.phi_monomials = [curve.monomial_for_pole_number(w) for w in poles.phi]
         self.gamma_monomials = [curve.monomial_for_pole_number(w) for w in poles.gamma]
 
-        # V[i][t] = basis_t(P_i); invertible because the places form an information set
+        # V[i][t] = basis_t(P_i) is S^T for S the information-set columns of
+        # the candidate evaluations, factored by the build; invertible because
+        # the places form an information set
         self.v_matrix = curve.evaluation_matrix(poles.distinct_poles, places).T.copy()
-        # decoder rows: the coefficients of the recovery poles, in (j, j') row-major order
+        # decoder rows: the coefficients of the recovery poles, in (j, j')
+        # row-major order; rows of V^-1 are columns of S^-1
         index = {w: t for t, w in enumerate(poles.distinct_poles)}
         recovery = [index[poles.recovery_pole(j, jp)]
                     for j in range(poles.m) for jp in range(poles.n)]
-        self._decoder = linalg.LUFactorization(self.v_matrix, self.q).inverse_rows(recovery)
+        self._decoder = information_set.inverse_columns(recovery).T.copy()
         self._phi_eval = curve.evaluation_matrix(poles.phi, places)
         self._gamma_eval = curve.evaluation_matrix(poles.gamma, places)
 
@@ -335,7 +339,7 @@ class SchemeInstance:
             "phi": list(self.poles.phi),
             "gamma": list(self.poles.gamma),
             "N": self.n_workers,
-            "curve": {"roots": [r.value for r in self.curve.roots]},
+            "curve": {"roots": list(self.curve.root_values)},
             "places": [{"x": p.x.value, "y": p.y.value} for p in self.places],
         }
 
@@ -373,13 +377,13 @@ def build_scheme(params: SchemeParams) -> SchemeInstance:
 
     # a nonzero function of pole order <= code_degree has at most code_degree
     # zeros, so the first code_degree + 1 places already have full rank N, and
-    # greedy leftmost pivots pick the same columns from them as from all places
+    # greedy leftmost pivots pick the same columns from them as from all places;
+    # the one elimination that picks them also factors the decoder's system
     curve = HyperellipticCurve(PrimeField(q), range(poles.d))
     candidates = curve.select_distinct_x_places(poles.code_degree + 1)
     evals = curve.evaluation_matrix(poles.distinct_poles, candidates)
-    columns = linalg.select_information_columns(evals, q)
-    places = [candidates[c] for c in columns]
-    return SchemeInstance(params, poles, swapped, curve, candidates, places, columns)
+    information_set = linalg.LUFactorization(evals, q)
+    return SchemeInstance(params, poles, swapped, curve, candidates, information_set)
 
 
 # -- persistence -------------------------------------------------------------

@@ -207,6 +207,7 @@ def test_secrecy_audit_2_2_1_q5():
     assert report.views_uniform
     assert report.n_workers == 5
     assert report.place_xs == [0, 1, 2, 3, 4]
+    assert report.mask_generator == [[1, 1, 1, 1, 1]]
     assert report.plaintext_count == 5**4
     assert report.randomness_count == 5**2
     assert report.subsets_exhaustive and len(report.subsets) == 5
@@ -218,6 +219,8 @@ def test_secrecy_audit_larger_collusion():
     report = empirical_secrecy_audit(2, 1, 2, 5)
     assert report.passed and report.views_uniform
     assert report.randomness_count == 5**4
+    # the mask monomials 1 and x at the audited places
+    assert report.mask_generator == [[pow(xv, k, 5) for xv in report.place_xs] for k in range(2)]
 
 
 def test_secrecy_audit_swapped_orientation():

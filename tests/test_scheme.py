@@ -27,6 +27,8 @@ from agsdmm import (
     smallest_admissible_field,
     write_matrix_csv,
 )
+from agsdmm.field import PrimeField, is_prime
+from agsdmm.function_field import HyperellipticCurve
 from agsdmm.scheme import resolve_orientation
 
 SWEEP = [
@@ -189,6 +191,66 @@ DESCRIPTOR_DIGESTS = {
 def test_descriptor_digest_is_pinned(params):
     text = json.dumps(build_scheme(SchemeParams(*params)).to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == DESCRIPTOR_DIGESTS[params]
+
+
+# SHA-256 of the int64 bytes of column_indices and of the decoder, recorded
+# while the columns and the decoder's LU came from two separate unblocked
+# eliminations; the inverse is unique, so one blocked elimination must agree
+DECODER_DIGESTS = {
+    (2, 2, 1): ("fece8d601cd4c9020e24f9e4a47feedefb2bceff5e9798d8056aea8700052eaa",
+                "e7db7cbd3624fdb8a555fc5f003c81877d1f6dcfb77a2df42134331a95e2a8a1"),
+    (4, 3, 2): ("088889b8071756d3559dc2172e525644f0be09d4b3fb26a697070bddcb805338",
+                "76e221ba6f336b76a70783469c0bfab4e306fa6dc691b46ffeefe12fee7eadea"),
+    (3, 4, 2): ("088889b8071756d3559dc2172e525644f0be09d4b3fb26a697070bddcb805338",
+                "76e221ba6f336b76a70783469c0bfab4e306fa6dc691b46ffeefe12fee7eadea"),
+    (8, 8, 4): ("0c8c4e49a549ad4e2bb5a3a52e12373e64b028244339310684f348384a3efae5",
+                "567ab91bb96dd3afb0a7ef8ea73ce35dd130a10e2976750e950f54e35db69db1"),
+    (14, 14, 10): ("5b6e4556859582ca34c7017b4c6bfa3ac56273c782bc75b57eae8cdc99c949e1",
+                   "3d592e39bb8d35b4c1fe503475071532f4329d205f15d6f1fe3b47e97bae8709"),
+}
+
+
+@pytest.mark.parametrize("params", sorted(DECODER_DIGESTS))
+def test_decoder_and_columns_digests_are_pinned(params):
+    inst = build_scheme(SchemeParams(*params))
+    columns = np.asarray(inst.column_indices, dtype=np.int64).tobytes()
+    decoder = np.ascontiguousarray(inst._decoder, dtype=np.int64).tobytes()
+    digests = tuple(hashlib.sha256(b).hexdigest() for b in (columns, decoder))
+    assert digests == DECODER_DIGESTS[params]
+
+
+def test_build_runs_one_elimination(monkeypatch):
+    # the information set and the decoder's factorization share one elimination
+    calls = []
+    eliminate = agsdmm.linalg._eliminate
+    monkeypatch.setattr(agsdmm.linalg, "_eliminate",
+                        lambda a, q: calls.append(a.shape) or eliminate(a, q))
+    inst = build_scheme(SchemeParams(4, 3, 2))
+    assert calls == [(inst.n_workers, inst.poles.code_degree + 1)]
+
+
+def _field_search_from_d_plus_2(d, required):
+    # counts every x of F_q, not only the first required ones
+    q = d + 2
+    while True:
+        if is_prime(q) and len(HyperellipticCurve(PrimeField(q), range(d)).scan_x()[0]) >= required:
+            return q
+        q += 2
+
+
+@pytest.mark.parametrize("m,n,x", [(2, 2, 1), (2, 1, 2), (4, 3, 2), (2, 5, 4), (6, 5, 3), (8, 8, 4),
+                                   (14, 14, 10)])
+def test_field_search_starts_late_without_changing_q(m, n, x):
+    # the search skips odd primes below the number of places it needs, since a
+    # curve over F_q has at most q distinct x-coordinates
+    poles = derive_parameters(m, n, x)
+    d, required = poles.d, poles.code_degree + 1
+    assert smallest_admissible_field(d, required) == _field_search_from_d_plus_2(d, required)
+
+
+def test_field_search_can_stop_at_its_first_candidate():
+    # over F_5 every x carries a point of y^2 = x(x-1)(x-2), so q = required passes
+    assert _field_search_from_d_plus_2(3, 5) == smallest_admissible_field(3, 5) == 5
 
 
 @pytest.mark.parametrize("m,n,x,q", [(2, 2, 1, 101), (4, 3, 2, 149), (3, 4, 2, 101), (6, 5, 3, 211)])
