@@ -6,14 +6,19 @@ determines the worker count N (its number of distinct entries) and which
 table cells carry the data products. A field size is then chosen so the
 curve has enough places with pairwise distinct x-coordinates, N of them are
 picked as an information set, and the resulting N x N evaluation matrix
-drives both encoding and decoding.
+drives both encoding and decoding. The basis is evaluated once, at the
+candidate places; the information set, the evaluation matrix, the decoder and
+both sides' encoding coefficients all come from that one evaluation and its
+one elimination.
 
 Matrices to be multiplied are plain integer arrays taken mod q. Matrix A is
-cut into m row blocks and B into n column blocks; each worker receives one
-masked combination of the blocks of each side and returns the product of its
-two shares. The recovery-pole rows of the inverse evaluation matrix, computed
-once at build time, map the N responses to every block product in one
-product mod q.
+always cut into m row blocks and B into n column blocks; each worker receives
+one masked combination of the blocks of each side and returns the product of
+its two shares. The phi functions encode the side whose partition count is
+even (A unless m is odd), the gamma functions the other; that choice changes
+no share's shape. The recovery-pole rows of the inverse evaluation matrix,
+computed once at build time, map the N responses to every block product in
+one product mod q.
 """
 
 from __future__ import annotations
@@ -202,33 +207,43 @@ class EncodedShares:
 class SchemeInstance:
     """A fully built scheme: curve, information-set places, and evaluation system."""
 
-    def __init__(self, params, poles, swapped, curve, candidate_places, information_set):
+    def __init__(self, params, poles, swapped, curve, candidate_places):
         self.params = params
         self.poles = poles
         self.swapped = swapped
         self.curve = curve
-        self.field = curve.field
-        self.q = curve.field.q
+        self.q = q = curve.field.q
         self.candidate_places = candidate_places
-        self.column_indices = information_set.columns
-        places = self.places = [candidate_places[c] for c in self.column_indices]
 
         self.basis = [curve.monomial_for_pole_number(w) for w in poles.distinct_poles]
         self.phi_monomials = [curve.monomial_for_pole_number(w) for w in poles.phi]
         self.gamma_monomials = [curve.monomial_for_pole_number(w) for w in poles.gamma]
 
-        # V[i][t] = basis_t(P_i) is S^T for S the information-set columns of
-        # the candidate evaluations, factored by the build; invertible because
-        # the places form an information set
-        self.v_matrix = curve.evaluation_matrix(poles.distinct_poles, places).T.copy()
+        # one elimination of the basis evaluated at the candidate places picks
+        # the information set and factors its square submatrix S = V^T
+        evals = curve.evaluation_matrix(poles.distinct_poles, candidate_places)
+        information_set = linalg.LUFactorization(evals, q)
+        self.column_indices = information_set.columns
+        self.places = [candidate_places[c] for c in self.column_indices]
+        # V[i][t] = basis_t(P_i), invertible because the places form an information set
+        s_matrix = evals[:, self.column_indices]
+        self.v_matrix = s_matrix.T.copy()
         # decoder rows: the coefficients of the recovery poles, in (j, j')
         # row-major order; rows of V^-1 are columns of S^-1
         index = {w: t for t, w in enumerate(poles.distinct_poles)}
         recovery = [index[poles.recovery_pole(j, jp)]
                     for j in range(poles.m) for jp in range(poles.n)]
         self._decoder = information_set.inverse_columns(recovery).T.copy()
-        self._phi_eval = curve.evaluation_matrix(poles.phi, places)
-        self._gamma_eval = curve.evaluation_matrix(poles.gamma, places)
+
+        # phi and gamma both start at pole order 0, so each of their entries is
+        # itself a distinct pole and its evaluations are a row of S
+        phi_eval = s_matrix[[index[w] for w in poles.phi]]
+        gamma_eval = s_matrix[[index[w] for w in poles.gamma]]
+        # A is cut into m row blocks and B into n column blocks; phi encodes the
+        # side with the even partition count. Per side: (coefficients of its x
+        # masks and blocks, block count, axis the blocks are cut along)
+        a_eval, b_eval = (gamma_eval, phi_eval) if swapped else (phi_eval, gamma_eval)
+        self._sides = {"A": (a_eval, params.m, 0), "B": (b_eval, params.n, 1)}
 
     @property
     def n_workers(self) -> int:
@@ -238,50 +253,29 @@ class SchemeInstance:
 
     def encode(self, side: str, matrix, rng) -> EncodedShares:
         """Masked shares of one input side; rng supplies the uniform masks."""
-        if side not in ("A", "B"):
+        if side not in self._sides:
             raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-        mat = np.asarray(matrix, dtype=np.int64) % self.q
+        q = self.q
+        mat = np.asarray(matrix, dtype=np.int64) % q
         if mat.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {mat.shape}")
-        work = mat.T if self.swapped else mat
-        if (side == "A") ^ self.swapped:
-            shares = self._encode_row_blocks(work, rng)
-        else:
-            shares = self._encode_column_blocks(work, rng)
-        return EncodedShares(side, shares)
-
-    def _encode_row_blocks(self, mat, rng):
-        me, x, q = self.poles.m, self.poles.x, self.q
-        rows, cols = mat.shape
-        if rows % me:
-            raise ValueError(f"row count {rows} is not divisible by the partition count {me}")
-        br = rows // me
-        blocks = [mat[i * br:(i + 1) * br] for i in range(me)]
-        masks = [rng.integers(0, q, size=(br, cols), dtype=np.int64) for _ in range(x)]
-        return self._combine(self._phi_eval, masks + blocks)
-
-    def _encode_column_blocks(self, mat, rng):
-        ne, x, q = self.poles.n, self.poles.x, self.q
-        rows, cols = mat.shape
-        if cols % ne:
-            raise ValueError(f"column count {cols} is not divisible by the partition count {ne}")
-        bc = cols // ne
-        blocks = [mat[:, j * bc:(j + 1) * bc] for j in range(ne)]
-        masks = [rng.integers(0, q, size=(rows, bc), dtype=np.int64) for _ in range(x)]
-        return self._combine(self._gamma_eval, masks + blocks)
-
-    def _combine(self, coeff, pieces):
-        # share_i = sum_t coeff[t, i] * pieces[t]; the inner length x + m is too
-        # short for float64 BLAS to beat one int64 tensordot
-        q = self.q
-        stacked = np.stack(pieces)
-        if len(pieces) * (q - 1) ** 2 < linalg.INT64_EXACT:
+        coeff, count, axis = self._sides[side]
+        if mat.shape[axis] % count:
+            raise ValueError(f"{('row', 'column')[axis]} count {mat.shape[axis]} is not "
+                             f"divisible by the partition count {count}")
+        blocks = np.split(mat, count, axis=axis)
+        masks = [rng.integers(0, q, size=blocks[0].shape, dtype=np.int64)
+                 for _ in range(self.poles.x)]
+        # share_i = sum_t coeff[t, i] * stacked[t]; the inner length x + count is
+        # too short for float64 BLAS to beat one int64 tensordot
+        stacked = np.stack(masks + blocks)
+        if len(stacked) * (q - 1) ** 2 < linalg.INT64_EXACT:
             shares = np.tensordot(coeff.T, stacked, axes=1)
             np.remainder(shares, q, out=shares)
         else:
-            flat = linalg._matmul_reduced(coeff.T, stacked.reshape(len(pieces), -1), q)
+            flat = linalg._matmul_reduced(coeff.T, stacked.reshape(len(stacked), -1), q)
             shares = flat.reshape((-1,) + stacked.shape[1:])
-        return list(shares)
+        return EncodedShares(side, list(shares))
 
     # -- worker computation and decoding -----------------------------------
 
@@ -289,13 +283,8 @@ class SchemeInstance:
         """The per-worker products of the two shares, in worker order."""
         if shares_a.side != "A" or shares_b.side != "B":
             raise ValueError("worker_products expects an A-side and a B-side encoding")
-        out = []
-        for sa, sb in zip(shares_a.shares, shares_b.shares, strict=True):
-            if self.swapped:
-                out.append(linalg.matmul_mod(sb, sa, self.q))
-            else:
-                out.append(linalg.matmul_mod(sa, sb, self.q))
-        return out
+        return [linalg.matmul_mod(sa, sb, self.q)
+                for sa, sb in zip(shares_a.shares, shares_b.shares, strict=True)]
 
     def decode(self, responses) -> np.ndarray:
         """Recover the full product from all N worker responses."""
@@ -306,19 +295,21 @@ class SchemeInstance:
             raise ValueError(f"responses must be 2-D matrices, got shape {stacked.shape[1:]}")
         np.remainder(stacked, self.q, out=stacked)
         n, br, bc = stacked.shape
-        me, ne = self.poles.m, self.poles.n
         blocks = linalg._matmul_reduced(self._decoder, stacked.reshape(n, br * bc), self.q)
-        out = blocks.reshape(me, ne, br, bc).transpose(0, 2, 1, 3).reshape(me * br, ne * bc)
-        return out.T.copy() if self.swapped else out
+        # the decoder's rows run over (phi block, gamma block), so B's blocks
+        # come first when phi encodes B
+        blocks = blocks.reshape(self.poles.m, self.poles.n, br, bc)
+        if self.swapped:
+            blocks = blocks.swapaxes(0, 1)
+        return blocks.transpose(0, 2, 1, 3).reshape(self.params.m * br, self.params.n * bc)
 
     # -- verification helpers -----------------------------------------------
 
     def security_generator(self, side: str = "A") -> np.ndarray:
         """Evaluations of the x mask functions at the information places (x by N)."""
-        if side not in ("A", "B"):
+        if side not in self._sides:
             raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-        ev = self._phi_eval if (side == "A") ^ self.swapped else self._gamma_eval
-        return ev[: self.poles.x].copy()
+        return self._sides[side][0][: self.poles.x].copy()
 
     def star_product_dimension(self) -> int:
         """Rank of all pairwise products of the two sides' codeword generators."""
@@ -377,13 +368,10 @@ def build_scheme(params: SchemeParams) -> SchemeInstance:
 
     # a nonzero function of pole order <= code_degree has at most code_degree
     # zeros, so the first code_degree + 1 places already have full rank N, and
-    # greedy leftmost pivots pick the same columns from them as from all places;
-    # the one elimination that picks them also factors the decoder's system
+    # greedy leftmost pivots pick the same columns from them as from all places
     curve = HyperellipticCurve(PrimeField(q), range(poles.d))
     candidates = curve.select_distinct_x_places(poles.code_degree + 1)
-    evals = curve.evaluation_matrix(poles.distinct_poles, candidates)
-    information_set = linalg.LUFactorization(evals, q)
-    return SchemeInstance(params, poles, swapped, curve, candidates, information_set)
+    return SchemeInstance(params, poles, swapped, curve, candidates)
 
 
 # -- persistence -------------------------------------------------------------
@@ -427,6 +415,7 @@ def write_matrix_csv(path, matrix, q: int) -> None:
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, int]:
+    """Read a matrix written by write_matrix_csv; entries are reduced mod the header's q."""
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
@@ -434,8 +423,14 @@ def read_matrix_csv(path) -> tuple[np.ndarray, int]:
         rows, cols, q = (int(v) for v in lines[0].split(","))
     except ValueError:
         raise ValueError(f"{path}: malformed header {lines[0]!r}; expected rows,cols,q") from None
-    body = [[int(v) for v in ln.split(",")] for ln in lines[1:]]
-    mat = np.array(body, dtype=np.int64)
+    if not 2 <= q < linalg.INT64_EXACT:
+        raise ValueError(f"{path}: field order {q} in the header must lie in [2, 2^63)")
+    try:
+        mat = np.array([[int(v) for v in ln.split(",")] for ln in lines[1:]], dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{path}: an entry lies outside the int64 range [-2^63, 2^63)") from None
+    except ValueError:
+        raise ValueError(f"{path}: malformed body; expected {rows} lines of {cols} integers") from None
     if mat.shape != (rows, cols):
         raise ValueError(f"{path}: header promises {rows}x{cols}, body is {mat.shape}")
     return mat % q, q

@@ -104,6 +104,26 @@ def test_multiply_rejects_descriptor_missing_a_key(tmp_path, capsys):
     assert "missing key(s) m" in err
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would print above the error line
+@pytest.mark.parametrize("a_text,message", [
+    ("1,2,17\n100000000000000000000,1\n", "outside the int64 range"),
+    ("1,2,0\n1,2\n", "field order 0"),
+    ("1,2,-17\n1,2\n", "field order -17"),
+])
+def test_multiply_rejects_malformed_csv(tmp_path, capsys, a_text, message):
+    scheme = tmp_path / "scheme.json"
+    assert main(["build", "--m", "2", "--n", "2", "--x", "1", "--out", str(scheme)]) == 0
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+    a_path.write_text(a_text)
+    write_matrix_csv(b_path, np.zeros((2, 2), dtype=int), 17)
+    capsys.readouterr()
+    assert main(["multiply", "--scheme", str(scheme), "--a", str(a_path),
+                 "--b", str(b_path), "--out", str(tmp_path / "c.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(a_path) in err and message in err
+
+
 def test_build_invalid_field(tmp_path):
     assert main(["build", "--m", "2", "--n", "2", "--x", "1",
                  "--q", "13", "--out", str(tmp_path / "s.json")]) == 1

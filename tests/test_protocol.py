@@ -12,6 +12,7 @@ from agsdmm import (
     collude_view,
     decode_response_pairs,
     empirical_secrecy_audit,
+    matmul_mod,
     run_protocol,
 )
 
@@ -53,18 +54,31 @@ def test_inner_dimension_mismatch(inst221):
         run_protocol(np.zeros((2, 3), dtype=int), np.zeros((2, 2), dtype=int), inst221)
 
 
-def test_transcript_shapes(inst221):
+def test_transcript_shapes():
+    _check_transcript_shapes(2, 2, 1)
+
+
+@pytest.mark.parametrize("m,n,x", [(3, 4, 2), (1, 2, 2)])
+def test_transcript_shapes_swapped(m, n, x):
+    # odd m: phi encodes B, and the shares still keep the user's orientation
+    _check_transcript_shapes(m, n, x)
+
+
+def _check_transcript_shapes(m, n, x):
+    inst = build_scheme(SchemeParams(m, n, x))
+    assert inst.swapped == (m % 2 == 1)
     rng = np.random.default_rng(5)
-    a = rng.integers(0, inst221.q, size=(6, 4))
-    b = rng.integers(0, inst221.q, size=(4, 10))
-    _, transcript = run_protocol(a, b, inst221, rng)
-    assert transcript.n_workers == 8
-    assert [rec.index for rec in transcript.records] == list(range(8))
+    a = rng.integers(0, inst.q, size=(2 * m, 5))
+    b = rng.integers(0, inst.q, size=(5, 3 * n))
+    product, transcript = run_protocol(a, b, inst, rng)
+    assert np.array_equal(product, a @ b % inst.q)
+    assert transcript.n_workers == inst.n_workers
+    assert [rec.index for rec in transcript.records] == list(range(inst.n_workers))
     for rec in transcript.records:
-        assert rec.a_share.shape == (3, 4)  # rows(A)/m x cols(A)
-        assert rec.b_share.shape == (4, 5)  # rows(B) x cols(B)/n
-        assert rec.response.shape == (3, 5)
-        assert rec.place == inst221.places[rec.index]
+        assert rec.a_share.shape == (2, 5)  # rows(A)/m x cols(A)
+        assert rec.b_share.shape == (5, 3)  # rows(B) x cols(B)/n
+        assert np.array_equal(rec.response, matmul_mod(rec.a_share, rec.b_share, inst.q))
+        assert rec.place == inst.places[rec.index]
 
 
 def test_transcript_jsonl_export(tmp_path, inst221):

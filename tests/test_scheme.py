@@ -219,14 +219,60 @@ def test_decoder_and_columns_digests_are_pinned(params):
     assert digests == DECODER_DIGESTS[params]
 
 
+# SHA-256 of the int64 bytes of every worker's a_share, b_share and response,
+# in worker order, for one seeded run_protocol; recorded while each side had
+# its own encode routine
+SHARE_DIGESTS = {
+    (2, 2, 1): ("f0aa05a09b86ce566560239aec7b55cc9dada41d52b7d3bf612f02a36325793f",
+                "bd3f726eb09413573f93ef71c108f3ac51060eb6c573a3ae93949d23b5de26c5",
+                "16b88fe0215a9331372e8c7a0ef4675165bd67d72420f21af49c6fb6d318d744"),
+    (4, 3, 2): ("266a52c4baa676c5efcf673006accb5d130a9a8da3612960fa93a3ef32293c24",
+                "010edc52941bd65936a5ea3922d304438bf881c843ac30a63bce8e9113bb99b0",
+                "513e74365bbd539e6f7843f1eb07571d23e3de71ba4468d8ad444ab8f414e3e3"),
+    (8, 8, 4): ("e9b17825ba02d08bce23191d54e9ac1c32f8c6edb56f52d105d10779ec0ec8bd",
+                "549f456f46f5ddad6432584e6511e75d1d93dec18b46d198e0d06637662457ac",
+                "c974da24c70e26ae525702bfc27e1fbe4e92e20fcf5f0683bd217f899158a8ed"),
+}
+
+
+@pytest.mark.parametrize("params", sorted(SHARE_DIGESTS))
+def test_share_and_response_digests_are_pinned(params):
+    m, n, _ = params
+    inst = build_scheme(SchemeParams(*params))
+    rng = np.random.default_rng(2024)
+    a = rng.integers(0, inst.q, size=(2 * m, 3))
+    b = rng.integers(0, inst.q, size=(3, 2 * n))
+    product, transcript = agsdmm.run_protocol(a, b, inst, rng)
+    assert np.array_equal(product, a @ b % inst.q)
+    digests = []
+    for name in ("a_share", "b_share", "response"):
+        h = hashlib.sha256()
+        for rec in transcript.records:
+            h.update(np.ascontiguousarray(getattr(rec, name), dtype=np.int64).tobytes())
+        digests.append(h.hexdigest())
+    assert tuple(digests) == SHARE_DIGESTS[params]
+
+
 def test_build_runs_one_elimination(monkeypatch):
     # the information set and the decoder's factorization share one elimination
-    calls = []
+    # of the one evaluation of the basis at the candidate places
+    calls, evaluations = [], []
     eliminate = agsdmm.linalg._eliminate
     monkeypatch.setattr(agsdmm.linalg, "_eliminate",
                         lambda a, q: calls.append(a.shape) or eliminate(a, q))
-    inst = build_scheme(SchemeParams(4, 3, 2))
-    assert calls == [(inst.n_workers, inst.poles.code_degree + 1)]
+    evaluate = HyperellipticCurve.evaluation_matrix
+
+    def counted(curve, pole_orders, places):
+        out = evaluate(curve, pole_orders, places)
+        evaluations.append(out.shape)
+        return out
+
+    monkeypatch.setattr(HyperellipticCurve, "evaluation_matrix", counted)
+    for params in ((4, 3, 2), (3, 4, 2)):
+        calls.clear()
+        evaluations.clear()
+        inst = build_scheme(SchemeParams(*params))
+        assert calls == evaluations == [(inst.n_workers, inst.poles.code_degree + 1)]
 
 
 def _field_search_from_d_plus_2(d, required):
@@ -487,6 +533,21 @@ def test_matrix_csv_errors(tmp_path):
     bad.write_text("")
     with pytest.raises(ValueError, match="empty"):
         read_matrix_csv(bad)
+    for q in (0, 1, -7, 2**63):
+        bad.write_text(f"1,2,{q}\n1,2\n")
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: field order {q}")):
+            read_matrix_csv(bad)
+    for entry in (2**63, -2**63 - 1, 10**20):
+        bad.write_text(f"1,2,7\n1,{entry}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: an entry lies outside the int64")):
+            read_matrix_csv(bad)
+    bad.write_text("2,2,7\n1,2\n3,x\n")
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: malformed body")):
+        read_matrix_csv(bad)
+    # the int64 extremes themselves are accepted and reduced
+    bad.write_text(f"1,2,7\n{2**63 - 1},{-2**63}\n")
+    got, q = read_matrix_csv(bad)
+    assert q == 7 and got.tolist() == [[(2**63 - 1) % 7, -2**63 % 7]]
 
 
 @pytest.mark.parametrize("m,n,x", [(2, 2, 1), (2, 1, 2), (4, 3, 2)])
