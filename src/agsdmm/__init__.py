@@ -29,7 +29,6 @@ from .linalg import (
     echelon,
     matmul_mod,
     rank,
-    select_information_columns,
 )
 from .protocol import (
     CollusionView,

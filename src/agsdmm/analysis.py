@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .scheme import distinct_sums, pole_sequences, resolve_orientation
+from .scheme import distinct_sums, orient, pole_sequences, worker_bound
 
 SWEEP_CAVEAT = (
     "gasp_big is an upper bound, not the exact GASP threshold; "
@@ -37,12 +37,10 @@ class AgWorkerCount(NamedTuple):
 
 def workers_ag(m: int, n: int, x: int) -> AgWorkerCount:
     """Actual worker count of this construction (and its bound), best orientation."""
-    swapped = resolve_orientation(m, n)
-    me, ne = (n, m) if swapped else (m, n)
+    # the pole sequences alone, without the table and checks of derive_parameters
+    me, ne, _ = orient(m, n)
     _, phi, gamma = pole_sequences(me, ne, x)
-    workers = len(distinct_sums(phi, gamma))
-    bound = (3 * me * ne + me) // 2 + 3 * x - 2
-    return AgWorkerCount(workers, bound)
+    return AgWorkerCount(len(distinct_sums(phi, gamma)), worker_bound(me, ne, x))
 
 
 def workers_a3s(m: int, n: int, x: int) -> int:

@@ -21,7 +21,6 @@ from .scheme import (
     derive_parameters,
     load_scheme,
     read_matrix_csv,
-    resolve_orientation,
     save_scheme,
     write_matrix_csv,
 )
@@ -60,11 +59,8 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def cmd_params(args) -> int:
-    swapped = resolve_orientation(args.m, args.n)
-    me, ne = (args.n, args.m) if swapped else (args.m, args.n)
-    poles = derive_parameters(me, ne, args.x)
+    poles = derive_parameters(args.m, args.n, args.x)
     out = poles.to_dict()
-    out["swapped"] = swapped
     if args.q is not None:
         check_field_order(poles, args.q)
         out["q"] = args.q

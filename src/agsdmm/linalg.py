@@ -142,15 +142,6 @@ def _eliminate(a: np.ndarray, q: int) -> tuple[list[int], list[int]]:
     return cols, perm
 
 
-def select_information_columns(rows, q: int) -> list[int]:
-    """Greedy leftmost pivot columns of a full-row-rank k x n matrix.
-
-    Returns the lexicographically first set of k column indices whose square
-    submatrix is invertible; raises if the matrix has rank below k.
-    """
-    return LUFactorization(rows, q).columns
-
-
 class LUFactorization:
     """Compact P S = L U over F_q, reusable across right-hand sides.
 

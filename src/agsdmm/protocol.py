@@ -19,7 +19,7 @@ import numpy as np
 
 from .field import PrimeField
 from .function_field import HyperellipticCurve, Place
-from .scheme import SchemeInstance, derive_parameters, resolve_orientation
+from .scheme import SchemeInstance, derive_parameters
 
 AUDIT_SUBSET_CAP = 10_000
 AUDIT_STATE_CAP = 2_000_000
@@ -186,9 +186,7 @@ def empirical_secrecy_audit(
         raise ValueError(f"audit supports q <= 7, got {q} (state space must stay enumerable)")
     if m * n > 4 or x > 2:
         raise ValueError(f"audit supports m*n <= 4 and x <= 2, got m={m}, n={n}, x={x}")
-    swapped = resolve_orientation(m, n)
-    me, ne = (n, m) if swapped else (m, n)
-    poles = derive_parameters(me, ne, x)
+    poles = derive_parameters(m, n, x)
     field = PrimeField(q)
     if q <= poles.d:
         raise ValueError(f"field order {q} too small for curve degree d={poles.d}")
@@ -204,11 +202,7 @@ def empirical_secrecy_audit(
     if n_aud < x:
         raise ValueError(f"only {n_aud} usable places; need at least x={x}")
 
-    phi_eval = curve.evaluation_matrix(poles.phi, places)
-    gamma_eval = curve.evaluation_matrix(poles.gamma, places)
-    # shares of the user's A side use phi unless the orientation is swapped
-    a_eval = gamma_eval if swapped else phi_eval
-    b_eval = phi_eval if swapped else gamma_eval
+    a_eval, b_eval = (curve.evaluation_matrix(poles.sides[side][0], places) for side in "AB")
 
     all_subsets = math.comb(n_aud, x)
     exhaustive = all_subsets <= subset_cap
@@ -255,7 +249,8 @@ def empirical_secrecy_audit(
         m=m, n=n, x=x, q=q,
         n_workers=n_aud,
         place_xs=[p.x.value for p in places],
-        mask_generator=phi_eval[:x].tolist(),
+        # both sides share the x mask functions 1, x, ..., x^(x-1)
+        mask_generator=a_eval[:x].tolist(),
         subsets=subsets,
         subsets_exhaustive=exhaustive,
         plaintext_count=len(plaintexts),

@@ -16,9 +16,10 @@ always cut into m row blocks and B into n column blocks; each worker receives
 one masked combination of the blocks of each side and returns the product of
 its two shares. The phi functions encode the side whose partition count is
 even (A unless m is odd), the gamma functions the other; that choice changes
-no share's shape. The recovery-pole rows of the inverse evaluation matrix,
-computed once at build time, map the N responses to every block product in
-one product mod q.
+no share's shape. derive_parameters makes it, and PoleStructure.sides records
+it per input side for the encoder and the secrecy audit alike. The
+recovery-pole rows of the inverse evaluation matrix, computed once at build
+time, map the N responses to every block product in one product mod q.
 """
 
 from __future__ import annotations
@@ -53,7 +54,11 @@ class SchemeParams:
 
 @dataclass(frozen=True)
 class PoleStructure:
-    """The pole order sequences and their outer-sum table for one (even-m) orientation."""
+    """The pole order sequences and their outer-sum table.
+
+    m is the even partition count, the one phi encodes; swapped is True when
+    that is the user's n, so that phi encodes B and gamma encodes A.
+    """
 
     m: int
     n: int
@@ -65,6 +70,17 @@ class PoleStructure:
     table: tuple[tuple[int, ...], ...]
     distinct_poles: tuple[int, ...]
     recovery_poles: tuple[int, ...]
+    swapped: bool
+
+    @property
+    def sides(self) -> dict[str, tuple[tuple[int, ...], int, int]]:
+        """Per input side: (pole orders of its x masks and blocks, block count, cut axis).
+
+        A is cut into row blocks and B into column blocks.
+        """
+        phi_side, gamma_side = (self.phi, self.m), (self.gamma, self.n)
+        a, b = (gamma_side, phi_side) if self.swapped else (phi_side, gamma_side)
+        return {"A": (*a, 0), "B": (*b, 1)}
 
     @property
     def n_workers(self) -> int:
@@ -72,8 +88,8 @@ class PoleStructure:
 
     @property
     def worker_bound(self) -> int:
-        """Upper bound on the worker count: (3mn + m)/2 + 3x - 2."""
-        return (3 * self.m * self.n + self.m) // 2 + 3 * self.x - 2
+        """Upper bound on the worker count, (3mn + m)/2 + 3x - 2."""
+        return worker_bound(self.m, self.n, self.x)
 
     @property
     def code_degree(self) -> int:
@@ -103,12 +119,27 @@ class PoleStructure:
             "recovery_poles": list(self.recovery_poles),
             "n_workers": self.n_workers,
             "worker_bound": self.worker_bound,
+            "swapped": self.swapped,
         }
 
 
 def distinct_sums(a, b) -> tuple[int, ...]:
     """The distinct entries of the outer-sum table of two integer sequences, ascending."""
     return tuple(sorted({u + v for u in a for v in b}))
+
+
+def worker_bound(m: int, n: int, x: int) -> int:
+    """Upper bound on the worker count for an even m: (3mn + m)/2 + 3x - 2."""
+    return (3 * m * n + m) // 2 + 3 * x - 2
+
+
+def orient(m: int, n: int) -> tuple[int, int, bool]:
+    """(m, n) reordered so that the even partition count comes first, and whether they swapped."""
+    if m % 2 == 0:
+        return m, n, False
+    if n % 2 == 0:
+        return n, m, True
+    raise ValueError(f"at least one of m={m}, n={n} must be even")
 
 
 def pole_sequences(m: int, n: int, x: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -129,7 +160,8 @@ def pole_sequences(m: int, n: int, x: int) -> tuple[int, tuple[int, ...], tuple[
 
 
 def derive_parameters(m: int, n: int, x: int) -> PoleStructure:
-    """Pole order sequences for partition counts m (even), n and collusion x."""
+    """Pole structure for partition counts m, n (one of them even) and collusion x."""
+    m, n, swapped = orient(m, n)
     d, phi, gamma = pole_sequences(m, n, x)
     g = (d - 1) // 2
     table = tuple(tuple(p + w for w in gamma) for p in phi)
@@ -151,7 +183,7 @@ def derive_parameters(m: int, n: int, x: int) -> PoleStructure:
             for j in range(m + x) for jp in range(n + x)
             if j < x or jp < x
         ),
-        "worker count is within its bound": len(distinct) <= (3 * m * n + m) // 2 + 3 * x - 2,
+        "worker count is within its bound": len(distinct) <= worker_bound(m, n, x),
     }
     broken = [name for name, holds in guarantees.items() if not holds]
     if broken:
@@ -159,17 +191,8 @@ def derive_parameters(m: int, n: int, x: int) -> PoleStructure:
 
     return PoleStructure(
         m=m, n=n, x=x, d=d, g=g, phi=phi, gamma=gamma,
-        table=table, distinct_poles=distinct, recovery_poles=recovery,
+        table=table, distinct_poles=distinct, recovery_poles=recovery, swapped=swapped,
     )
-
-
-def resolve_orientation(m: int, n: int) -> bool:
-    """True if the roles of the two sides must be swapped (m odd, n even)."""
-    if m % 2 == 0:
-        return False
-    if n % 2 == 0:
-        return True
-    raise ValueError(f"at least one of m={m}, n={n} must be even")
 
 
 def _usable_x_count(d: int, q: int, required: int) -> int:
@@ -207,17 +230,12 @@ class EncodedShares:
 class SchemeInstance:
     """A fully built scheme: curve, information-set places, and evaluation system."""
 
-    def __init__(self, params, poles, swapped, curve, candidate_places):
+    def __init__(self, params, poles, curve, candidate_places):
         self.params = params
         self.poles = poles
-        self.swapped = swapped
         self.curve = curve
         self.q = q = curve.field.q
         self.candidate_places = candidate_places
-
-        self.basis = [curve.monomial_for_pole_number(w) for w in poles.distinct_poles]
-        self.phi_monomials = [curve.monomial_for_pole_number(w) for w in poles.phi]
-        self.gamma_monomials = [curve.monomial_for_pole_number(w) for w in poles.gamma]
 
         # one elimination of the basis evaluated at the candidate places picks
         # the information set and factors its square submatrix S = V^T
@@ -236,14 +254,10 @@ class SchemeInstance:
         self._decoder = information_set.inverse_columns(recovery).T.copy()
 
         # phi and gamma both start at pole order 0, so each of their entries is
-        # itself a distinct pole and its evaluations are a row of S
-        phi_eval = s_matrix[[index[w] for w in poles.phi]]
-        gamma_eval = s_matrix[[index[w] for w in poles.gamma]]
-        # A is cut into m row blocks and B into n column blocks; phi encodes the
-        # side with the even partition count. Per side: (coefficients of its x
-        # masks and blocks, block count, axis the blocks are cut along)
-        a_eval, b_eval = (gamma_eval, phi_eval) if swapped else (phi_eval, gamma_eval)
-        self._sides = {"A": (a_eval, params.m, 0), "B": (b_eval, params.n, 1)}
+        # itself a distinct pole and its evaluations are a row of S. Per side:
+        # (coefficients of its x masks and blocks, block count, cut axis)
+        self._sides = {side: (s_matrix[[index[w] for w in orders]], count, axis)
+                       for side, (orders, count, axis) in poles.sides.items()}
 
     @property
     def n_workers(self) -> int:
@@ -299,7 +313,7 @@ class SchemeInstance:
         # the decoder's rows run over (phi block, gamma block), so B's blocks
         # come first when phi encodes B
         blocks = blocks.reshape(self.poles.m, self.poles.n, br, bc)
-        if self.swapped:
+        if self.poles.swapped:
             blocks = blocks.swapaxes(0, 1)
         return blocks.transpose(0, 2, 1, 3).reshape(self.params.m * br, self.params.n * bc)
 
@@ -356,9 +370,7 @@ def check_field_order(poles: PoleStructure, q: int) -> None:
 
 def build_scheme(params: SchemeParams) -> SchemeInstance:
     """Derive the pole structure, pick the field, and assemble the full scheme."""
-    swapped = resolve_orientation(params.m, params.n)
-    me, ne = (params.n, params.m) if swapped else (params.m, params.n)
-    poles = derive_parameters(me, ne, params.x)
+    poles = derive_parameters(params.m, params.n, params.x)
 
     if params.q is None:
         q = smallest_admissible_field(poles.d, poles.code_degree + 1)
@@ -371,7 +383,7 @@ def build_scheme(params: SchemeParams) -> SchemeInstance:
     # greedy leftmost pivots pick the same columns from them as from all places
     curve = HyperellipticCurve(PrimeField(q), range(poles.d))
     candidates = curve.select_distinct_x_places(poles.code_degree + 1)
-    return SchemeInstance(params, poles, swapped, curve, candidates)
+    return SchemeInstance(params, poles, curve, candidates)
 
 
 # -- persistence -------------------------------------------------------------
@@ -425,6 +437,9 @@ def read_matrix_csv(path) -> tuple[np.ndarray, int]:
         raise ValueError(f"{path}: malformed header {lines[0]!r}; expected rows,cols,q") from None
     if not 2 <= q < linalg.INT64_EXACT:
         raise ValueError(f"{path}: field order {q} in the header must lie in [2, 2^63)")
+    if min(rows, cols) == 0 and len(lines) == 1:
+        # a matrix without entries has no body, or only blank lines
+        return np.zeros((rows, cols), dtype=np.int64), q
     try:
         mat = np.array([[int(v) for v in ln.split(",")] for ln in lines[1:]], dtype=np.int64)
     except OverflowError:

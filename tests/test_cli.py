@@ -71,6 +71,19 @@ def test_build_multiply_pipeline(tmp_path, capsys):
     assert "product 4x6" in capsys.readouterr().out
 
 
+def test_multiply_empty_product_reads_back(tmp_path, capsys):
+    scheme = tmp_path / "scheme.json"
+    assert main(["build", "--m", "2", "--n", "2", "--x", "1", "--out", str(scheme)]) == 0
+    a_path, b_path, c_path = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+    write_matrix_csv(a_path, np.zeros((0, 3), dtype=int), 17)
+    write_matrix_csv(b_path, np.ones((3, 4), dtype=int), 17)
+    assert main(["multiply", "--scheme", str(scheme), "--a", str(a_path),
+                 "--b", str(b_path), "--out", str(c_path)]) == 0
+    product, q = read_matrix_csv(c_path)
+    assert q == 17 and product.shape == (0, 4)
+    assert "product 0x4" in capsys.readouterr().out
+
+
 def test_multiply_rejects_field_mismatch(tmp_path, capsys):
     scheme = tmp_path / "scheme.json"
     assert main(["build", "--m", "2", "--n", "2", "--x", "1", "--out", str(scheme)]) == 0

@@ -10,7 +10,6 @@ from agsdmm import (
     linalg,
     matmul_mod,
     rank,
-    select_information_columns,
 )
 from agsdmm.linalg import PANEL_WIDTH, echelon
 
@@ -131,7 +130,7 @@ def test_lu_of_a_wide_matrix_factors_its_information_set():
     q = 5
     m = np.array([[1, 2, 0, 3], [2, 4, 1, 1]])  # column 1 = 2 * column 0
     lu = LUFactorization(m, q)
-    assert lu.columns == [0, 2] == select_information_columns(m, q)
+    assert lu.columns == [0, 2]
     inv = lu.inverse_columns(range(2))
     assert np.array_equal(m[:, lu.columns] @ inv % q, np.eye(2, dtype=np.int64))
 
@@ -156,16 +155,16 @@ def test_inverse_columns_rejects_bad_input():
 
 
 def test_select_information_columns_examples():
-    assert select_information_columns(np.eye(4, dtype=int), 7) == [0, 1, 2, 3]
-    assert select_information_columns([[0, 5]], 7) == [1]
+    assert LUFactorization(np.eye(4, dtype=int), 7).columns == [0, 1, 2, 3]
+    assert LUFactorization([[0, 5]], 7).columns == [1]
     vandermonde = [[pow(a, j, 11) for a in (1, 2, 3, 4, 5)] for j in range(3)]
-    assert select_information_columns(vandermonde, 11) == [0, 1, 2]
+    assert LUFactorization(vandermonde, 11).columns == [0, 1, 2]
 
 
 def test_select_information_columns_skips_dependent_columns():
     # column 1 = 2 * column 0, so the greedy pick must jump to column 2
     m = [[1, 2, 0], [2, 4, 1]]
-    cols = select_information_columns(m, 5)
+    cols = LUFactorization(m, 5).columns
     assert cols == [0, 2]
     sub = np.array(m)[:, cols]
     assert rank(sub, 5) == 2
@@ -179,9 +178,9 @@ def test_select_information_columns_output_invertible_random():
         m = rng.integers(0, q, size=(k, k + int(rng.integers(1, 5))))
         if rank(m, q) < k:
             with pytest.raises(ValueError):
-                select_information_columns(m, q)
+                LUFactorization(m, q)
             continue
-        cols = select_information_columns(m, q)
+        cols = LUFactorization(m, q).columns
         assert len(cols) == k and cols == sorted(cols)
         assert rank(m[:, cols], q) == k
 

@@ -66,7 +66,7 @@ def test_transcript_shapes_swapped(m, n, x):
 
 def _check_transcript_shapes(m, n, x):
     inst = build_scheme(SchemeParams(m, n, x))
-    assert inst.swapped == (m % 2 == 1)
+    assert inst.poles.swapped == (m % 2 == 1)
     rng = np.random.default_rng(5)
     a = rng.integers(0, inst.q, size=(2 * m, 5))
     b = rng.integers(0, inst.q, size=(5, 3 * n))

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -23,13 +24,13 @@ from agsdmm import (
     rank,
     read_matrix_csv,
     save_scheme,
-    select_information_columns,
     smallest_admissible_field,
     write_matrix_csv,
 )
 from agsdmm.field import PrimeField, is_prime
 from agsdmm.function_field import HyperellipticCurve
-from agsdmm.scheme import resolve_orientation
+from agsdmm.linalg import LUFactorization
+from agsdmm.scheme import orient
 
 SWEEP = [
     (m, n, x)
@@ -81,7 +82,7 @@ def test_derive_parameters_rejects_degenerate():
     with pytest.raises(ValueError):
         derive_parameters(2, 1, 1)  # d = 1
     with pytest.raises(ValueError):
-        derive_parameters(3, 2, 1)  # odd m belongs to the swapped orientation
+        derive_parameters(3, 3, 1)  # no partition count is even
     with pytest.raises(ValueError):
         derive_parameters(2, 0, 1)
 
@@ -122,10 +123,28 @@ def test_structural_checks_survive_python_O():
 
 
 def test_resolve_orientation():
-    assert resolve_orientation(2, 3) is False
-    assert resolve_orientation(3, 2) is True
+    assert orient(2, 3) == (2, 3, False)
+    assert orient(3, 2) == (2, 3, True)
+    assert orient(4, 6) == (4, 6, False)
     with pytest.raises(ValueError):
-        resolve_orientation(3, 3)
+        orient(3, 3)
+
+
+def test_derive_parameters_orients_odd_m():
+    # (3, 4) gets the pole structure of (4, 3), with only swapped set
+    p = derive_parameters(3, 4, 2)
+    assert p.swapped and (p.m, p.n) == (4, 3)
+    assert p == dataclasses.replace(derive_parameters(4, 3, 2), swapped=True)
+    assert p.to_dict()["swapped"] is True
+
+
+def test_pole_structure_sides():
+    # phi encodes the side with the even partition count; A is always cut
+    # into the user's m row blocks and B into the user's n column blocks
+    p = derive_parameters(4, 3, 2)
+    assert p.sides == {"A": (p.phi, 4, 0), "B": (p.gamma, 3, 1)}
+    s = derive_parameters(3, 4, 2)
+    assert s.sides == {"A": (s.gamma, 3, 0), "B": (s.phi, 4, 1)}
 
 
 def test_distinct_sums_examples():
@@ -158,10 +177,11 @@ def test_pole_structure_invariants(m, n, x):
 def test_build_auto_field_2_2_1(inst221):
     assert inst221.q == 17
     assert inst221.n_workers == 8
-    assert not inst221.swapped
+    assert not inst221.poles.swapped
     assert len(inst221.candidate_places) >= inst221.poles.code_degree + 1
     assert rank(inst221.v_matrix, inst221.q) == 8
-    poles = [mono.pole_number(inst221.poles.d) for mono in inst221.basis]
+    poles = [inst221.curve.monomial_for_pole_number(w).pole_number(inst221.poles.d)
+             for w in inst221.poles.distinct_poles]
     assert tuple(poles) == inst221.poles.distinct_poles
 
 
@@ -308,7 +328,7 @@ def test_candidate_prefix_gives_the_same_information_set(m, n, x, q):
     assert len(inst.candidate_places) == inst.poles.code_degree + 1 < len(every)
     assert inst.candidate_places == every[:len(inst.candidate_places)]
     evals = inst.curve.evaluation_matrix(inst.poles.distinct_poles, every)
-    assert select_information_columns(evals, inst.q) == inst.column_indices
+    assert LUFactorization(evals, inst.q).columns == inst.column_indices
     full = copy.copy(inst)
     full.candidate_places = every
     assert full.star_product_dimension() == inst.star_product_dimension()
@@ -355,7 +375,7 @@ def test_encode_scalar_oracle(inst221):
     a = np.array([[3], [5]])  # two 1x1 row blocks
     enc = inst221.encode("A", a, np.random.default_rng(9))
     mask = np.random.default_rng(9).integers(0, q, size=(1, 1), dtype=np.int64)
-    f2, f3 = inst221.phi_monomials[1], inst221.phi_monomials[2]
+    f2, f3 = (curve.monomial_for_pole_number(w) for w in inst221.poles.phi[1:3])
     for i, place in enumerate(inst221.places):
         expected = (
             int(mask[0, 0])
@@ -425,7 +445,7 @@ def test_decode_matches_plain_product_4_3_2(inst432):
 
 def test_swapped_orientation_roundtrip():
     inst = build_scheme(SchemeParams(3, 4, 2))
-    assert inst.swapped and inst.poles.m == 4 and inst.poles.n == 3
+    assert inst.poles.swapped and inst.poles.m == 4 and inst.poles.n == 3
     rng = np.random.default_rng(56)
     a = rng.integers(0, inst.q, size=(9, 4))  # rows divisible by m = 3
     b = rng.integers(0, inst.q, size=(4, 8))  # cols divisible by n = 4
@@ -456,11 +476,12 @@ def test_canonical_monomial_closure(inst432):
     # products of the chosen functions never need a y^2 reduction and land
     # exactly on the canonical monomial of the summed pole order
     d = inst432.poles.d
-    for j, fm in enumerate(inst432.phi_monomials):
-        for jp, gm in enumerate(inst432.gamma_monomials):
-            prod = fm * gm
-            w = inst432.poles.phi[j] + inst432.poles.gamma[jp]
-            assert prod == inst432.curve.monomial_for_pole_number(w)
+    monomial = inst432.curve.monomial_for_pole_number
+    for wf in inst432.poles.phi:
+        for wg in inst432.poles.gamma:
+            prod = monomial(wf) * monomial(wg)
+            w = wf + wg
+            assert prod == monomial(w)
             assert prod.pole_number(d) == w
 
 
@@ -514,12 +535,14 @@ def test_load_scheme_rejects_malformed_descriptor(tmp_path, text, message):
 
 def test_matrix_csv_roundtrip(tmp_path):
     path = tmp_path / "m.csv"
-    mat = np.arange(12).reshape(3, 4)
-    write_matrix_csv(path, mat, 7)
-    got, q = read_matrix_csv(path)
-    assert q == 7
-    assert np.array_equal(got, mat % 7)
-    assert path.read_text().splitlines()[0] == "3,4,7"
+    for shape in ((3, 4), (0, 3), (3, 0)):
+        mat = np.arange(math.prod(shape)).reshape(shape)
+        write_matrix_csv(path, mat, 7)
+        got, q = read_matrix_csv(path)
+        assert q == 7
+        assert got.dtype == np.int64 and got.shape == shape
+        assert np.array_equal(got, mat % 7)
+        assert path.read_text().splitlines()[0] == f"{shape[0]},{shape[1]},7"
 
 
 def test_matrix_csv_errors(tmp_path):
@@ -527,9 +550,10 @@ def test_matrix_csv_errors(tmp_path):
     bad.write_text("not,a,header,line\n1,2\n")
     with pytest.raises(ValueError):
         read_matrix_csv(bad)
-    bad.write_text("2,2,7\n1,2\n")
-    with pytest.raises(ValueError, match="promises"):
-        read_matrix_csv(bad)
+    for text in ("2,2,7\n1,2\n", "0,3,7\n1,2,3\n", "3,0,7\n1\n", "-1,0,7\n"):
+        bad.write_text(text)
+        with pytest.raises(ValueError, match="promises"):
+            read_matrix_csv(bad)
     bad.write_text("")
     with pytest.raises(ValueError, match="empty"):
         read_matrix_csv(bad)
