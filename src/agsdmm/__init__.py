@@ -15,7 +15,7 @@ from .analysis import (
     workers_gasp_big,
     write_sweep_csv,
 )
-from .field import FieldElement, PrimeField, is_prime
+from .field import PrimeField, is_prime
 from .function_field import (
     HyperellipticCurve,
     Monomial,

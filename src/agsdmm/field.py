@@ -1,4 +1,9 @@
-"""Exact arithmetic in odd prime fields, with residue tests and square roots."""
+"""Odd prime fields: primality, residue tests and square roots.
+
+A field value is a plain Python int in [0, q), and a vector of them an int64
+numpy array; PrimeField validates q and answers the questions about squares
+that the place scan asks. Arithmetic is ordinary integer arithmetic mod q.
+"""
 
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """The prime field of odd order q; a factory and namespace for its elements."""
+    """The prime field of odd order q, whose values are the ints 0, ..., q - 1."""
 
     __slots__ = ("q",)
 
@@ -48,54 +53,32 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.q})"
 
-    def element(self, value: int) -> FieldElement:
-        return FieldElement(value, self)
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(0, self)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(1, self)
-
-    def elements(self):
-        """Iterator over all q elements, in residue order."""
-        return (FieldElement(v, self) for v in range(self.q))
-
-    def is_square(self, a) -> bool:
+    def is_square(self, a: int) -> bool:
         """True iff a is a square in the field; zero counts as a square."""
-        v = self._residue(a)
+        v = int(a) % self.q
         if v == 0:
             return True
         return pow(v, (self.q - 1) // 2, self.q) == 1
 
-    def sqrt(self, a):
-        """Both square roots of a as a tuple, ({0},) for zero, or None if a is a non-residue."""
+    def sqrt(self, a: int) -> tuple[int, ...] | None:
+        """Both square roots of a, ascending, (0,) for zero, or None if a is a non-residue."""
         if not self.is_square(a):
             return None
         return self.square_roots(a)
 
-    def square_roots(self, a):
+    def square_roots(self, a: int) -> tuple[int, ...]:
         """sqrt for an a already known to be zero or a square, without the residue test.
 
         Raises ValueError if a turns out not to be a square.
         """
-        v = self._residue(a)
+        v = int(a) % self.q
         if v == 0:
-            return (self.zero,)
+            return (0,)
         r = self._sqrt_tonelli_shanks(v)
         if r * r % self.q != v:
             raise ValueError(f"{v} is not a square mod {self.q}")
         lo, hi = sorted((r, self.q - r))
-        return (FieldElement(lo, self), FieldElement(hi, self))
-
-    def _residue(self, a) -> int:
-        if isinstance(a, FieldElement):
-            if a.field != self:
-                raise ValueError(f"element of {a.field!r} used with {self!r}")
-            return a.value
-        return int(a) % self.q
+        return (lo, hi)
 
     def _sqrt_tonelli_shanks(self, v: int) -> int:
         q = self.q
@@ -124,105 +107,3 @@ class PrimeField:
             b = b * g % q
             r = m
         return x
-
-
-class FieldElement:
-    """An immutable residue in a PrimeField, with operator overloads."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        object.__setattr__(self, "value", int(value) % field.q)
-        object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("FieldElement is immutable")
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError(
-                    f"cannot mix elements of {self.field!r} and {other.field!r}"
-                )
-            return other
-        if isinstance(other, int):
-            return FieldElement(other, self.field)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value + o.value, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value - o.value, self.field)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(o.value - self.value, self.field)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * o.value, self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.field)
-
-    def __pow__(self, exponent: int):
-        if self.value == 0 and exponent < 0:
-            raise ZeroDivisionError("cannot invert zero")
-        return FieldElement(pow(self.value, exponent, self.field.q), self.field)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("cannot invert zero")
-        return FieldElement(pow(self.value, -1, self.field.q), self.field)
-
-    def is_square(self) -> bool:
-        return self.field.is_square(self)
-
-    def sqrt(self):
-        return self.field.sqrt(self)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.field.q
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.q, self.value))
-
-    def __int__(self):
-        return self.value
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.field.q})"

@@ -14,13 +14,12 @@ d odd, split over the base field. The key facts used throughout:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 
 # x-coordinates examined per numpy step of the place scan
 SCAN_CHUNK = 4096
@@ -86,8 +85,8 @@ class WeierstrassSemigroup:
 class Place:
     """A rational place: an affine point (x, y) with y^2 = f(x), or the point at infinity."""
 
-    x: FieldElement | None
-    y: FieldElement | None
+    x: int | None
+    y: int | None
 
     @classmethod
     def at_infinity(cls) -> "Place":
@@ -100,12 +99,7 @@ class Place:
     def coords(self) -> tuple[int, int]:
         if self.is_infinity:
             raise ValueError("the place at infinity has no affine coordinates")
-        return (self.x.value, self.y.value)
-
-    def __repr__(self):
-        if self.is_infinity:
-            return "Place(infinity)"
-        return f"Place(x={self.x.value}, y={self.y.value})"
+        return (self.x, self.y)
 
 
 class HyperellipticCurve:
@@ -113,36 +107,21 @@ class HyperellipticCurve:
 
     def __init__(self, field: PrimeField, roots):
         self.field = field
-        values = []
-        for r in roots:
-            if isinstance(r, FieldElement):
-                if r.field != field:
-                    raise ValueError("roots must live in the curve's base field")
-                values.append(r.value)
-            else:
-                values.append(int(r) % field.q)
-        if len(values) % 2 == 0:
-            raise ValueError(f"f must have odd degree, got {len(values)} roots")
-        if len(set(values)) != len(values):
+        self.roots = tuple(int(r) % field.q for r in roots)
+        if len(self.roots) % 2 == 0:
+            raise ValueError(f"f must have odd degree, got {len(self.roots)} roots")
+        if len(set(self.roots)) != len(self.roots):
             raise ValueError("roots must be pairwise distinct (f must be squarefree)")
-        # plain residues, so that a curve built only to be scanned costs no FieldElements
-        self.root_values = tuple(values)
-        self.d = len(values)
+        self.d = len(self.roots)
 
     @cached_property
-    def roots(self) -> tuple[FieldElement, ...]:
-        return tuple(self.field.element(v) for v in self.root_values)
-
-    @cached_property
-    def f_coeffs(self) -> tuple[FieldElement, ...]:
+    def f_coeffs(self) -> tuple[int, ...]:
         """Ascending coefficients of the monic f(x) = prod (x - r)."""
-        coeffs = [self.field.one]
+        q = self.field.q
+        coeffs = [1]
         for r in self.roots:
-            nxt = [self.field.zero] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i + 1] = nxt[i + 1] + c
-                nxt[i] = nxt[i] - c * r
-            coeffs = nxt
+            # c(x) * (x - r): coefficient i is c[i-1] - r * c[i]
+            coeffs = [(lo - r * hi) % q for lo, hi in zip([0] + coeffs, coeffs + [0])]
         return tuple(coeffs)
 
     @property
@@ -152,19 +131,19 @@ class HyperellipticCurve:
     def semigroup(self) -> WeierstrassSemigroup:
         return WeierstrassSemigroup(self.d)
 
-    def f_at(self, x) -> FieldElement:
-        v = self.field.one
-        x = x if isinstance(x, FieldElement) else self.field.element(x)
+    def f_at(self, x: int) -> int:
+        q, x = self.field.q, int(x)
+        v = 1
         for r in self.roots:
-            v = v * (x - r)
+            v = v * (x - r) % q
         return v
 
-    def affine_place(self, x, y) -> Place:
+    def affine_place(self, x: int, y: int) -> Place:
         """Validated affine place; raises if (x, y) is not on the curve."""
-        x = x if isinstance(x, FieldElement) else self.field.element(x)
-        y = y if isinstance(y, FieldElement) else self.field.element(y)
-        if y * y != self.f_at(x):
-            raise ValueError(f"({x.value}, {y.value}) does not satisfy y^2 = f(x)")
+        q = self.field.q
+        x, y = int(x) % q, int(y) % q
+        if y * y % q != self.f_at(x):
+            raise ValueError(f"({x}, {y}) does not satisfy y^2 = f(x)")
         return Place(x, y)
 
     def monomial_for_pole_number(self, w: int) -> Monomial:
@@ -183,14 +162,14 @@ class HyperellipticCurve:
             if sg.is_pole_number(w)
         ]
 
-    def evaluate(self, mono: Monomial, place: Place) -> FieldElement:
+    def evaluate(self, mono: Monomial, place: Place) -> int:
         if place.is_infinity:
             raise ValueError("cannot evaluate at the place at infinity (it is the pole)")
         q = self.field.q
-        v = pow(place.x.value, mono.a, q)
+        v = pow(place.x, mono.a, q)
         if mono.b:
-            v = v * place.y.value % q
-        return self.field.element(v)
+            v = v * place.y % q
+        return v
 
     def evaluation_matrix(self, pole_orders, places) -> np.ndarray:
         """M[t, i] = value at places[i] of the monomial with pole order pole_orders[t].
@@ -202,8 +181,8 @@ class HyperellipticCurve:
         if any(p.is_infinity for p in places):
             raise ValueError("cannot evaluate at the place at infinity (it is the pole)")
         q = self.field.q
-        xs = np.array([p.x.value for p in places], dtype=np.int64)
-        ys = np.array([p.y.value for p in places], dtype=np.int64)
+        xs = np.array([p.x for p in places], dtype=np.int64)
+        ys = np.array([p.y for p in places], dtype=np.int64)
         powers = [np.ones_like(xs)]
         for _ in range(max((mono.a for mono in monos), default=0)):
             powers.append(powers[-1] * xs % q)
@@ -225,7 +204,7 @@ class HyperellipticCurve:
         for start in range(0, q, SCAN_CHUNK):
             x = np.arange(start, min(start + SCAN_CHUNK, q), dtype=np.int64)
             f = np.ones_like(x)
-            for r in self.root_values:
+            for r in self.roots:
                 f *= x - r
                 f %= q
             # Euler's criterion: f^((q-1)/2) is 1 for a nonzero square
@@ -246,7 +225,7 @@ class HyperellipticCurve:
         """All rational places: affine points sorted by (x, y), then infinity."""
         field = self.field
         places = [
-            Place(field.element(a), y)
+            Place(a, y)
             for a, fa in zip(*(v.tolist() for v in self.scan_x()))
             for y in field.square_roots(fa)
         ]
@@ -260,32 +239,9 @@ class HyperellipticCurve:
         """
         field = self.field
         return [
-            Place(field.element(a), field.square_roots(fa)[0])
+            Place(a, field.square_roots(fa)[0])
             for a, fa in zip(*(v.tolist() for v in self.scan_x(limit)))
         ]
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.field.q,
-            "roots": list(self.root_values),
-            "d": self.d,
-            "genus": self.genus,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HyperellipticCurve":
-        curve = cls(PrimeField(data["q"]), data["roots"])
-        for key in ("d", "genus"):
-            if key in data and data[key] != getattr(curve, key):
-                raise ValueError(f"descriptor field {key}={data[key]} does not match the curve")
-        return curve
-
-    @classmethod
-    def from_json(cls, text: str) -> "HyperellipticCurve":
-        return cls.from_dict(json.loads(text))
 
     def __repr__(self):
         return f"HyperellipticCurve(q={self.field.q}, d={self.d}, genus={self.genus})"

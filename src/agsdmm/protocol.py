@@ -58,7 +58,7 @@ class Transcript:
         for rec in self.records:
             lines.append(json.dumps({
                 "index": rec.index,
-                "place": {"x": rec.place.x.value, "y": rec.place.y.value},
+                "place": {"x": rec.place.x, "y": rec.place.y},
                 "a_share": rec.a_share.tolist(),
                 "b_share": rec.b_share.tolist(),
                 "response": rec.response.tolist(),
@@ -248,7 +248,7 @@ def empirical_secrecy_audit(
     return SecrecyAuditReport(
         m=m, n=n, x=x, q=q,
         n_workers=n_aud,
-        place_xs=[p.x.value for p in places],
+        place_xs=[p.x for p in places],
         # both sides share the x mask functions 1, x, ..., x^(x-1)
         mask_generator=a_eval[:x].tolist(),
         subsets=subsets,

@@ -344,8 +344,8 @@ class SchemeInstance:
             "phi": list(self.poles.phi),
             "gamma": list(self.poles.gamma),
             "N": self.n_workers,
-            "curve": {"roots": list(self.curve.root_values)},
-            "places": [{"x": p.x.value, "y": p.y.value} for p in self.places],
+            "curve": {"roots": list(self.curve.roots)},
+            "places": [{"x": p.x, "y": p.y} for p in self.places],
         }
 
     def __repr__(self):

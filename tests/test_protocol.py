@@ -1,5 +1,7 @@
 import functools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,7 +96,7 @@ def test_transcript_jsonl_export(tmp_path, inst221):
         rec = json.loads(line)
         assert rec["index"] == i
         place = inst221.places[i]
-        assert rec["place"] == {"x": place.x.value, "y": place.y.value}
+        assert rec["place"] == {"x": place.x, "y": place.y}
         assert rec["a_share"] == transcript.records[i].a_share.tolist()
         assert rec["b_share"] == transcript.records[i].b_share.tolist()
         assert rec["response"] == transcript.records[i].response.tolist()
@@ -262,3 +264,14 @@ def test_secrecy_audit_subset_cap():
     assert not report.subsets_exhaustive
     assert report.subsets == [(0,), (1,), (2,)]
     assert report.passed
+
+
+def test_readme_quickstart_runs():
+    # the README's one python block is the documented public API; run it as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    scope = {}
+    exec(blocks[0], scope)
+    assert scope["inst"].q == 17 and scope["inst"].n_workers == 8
+    assert scope["view"].indices == (3,)

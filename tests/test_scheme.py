@@ -255,8 +255,7 @@ SHARE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("params", sorted(SHARE_DIGESTS))
-def test_share_and_response_digests_are_pinned(params):
+def _seeded_transcript(params):
     m, n, _ = params
     inst = build_scheme(SchemeParams(*params))
     rng = np.random.default_rng(2024)
@@ -264,6 +263,12 @@ def test_share_and_response_digests_are_pinned(params):
     b = rng.integers(0, inst.q, size=(3, 2 * n))
     product, transcript = agsdmm.run_protocol(a, b, inst, rng)
     assert np.array_equal(product, a @ b % inst.q)
+    return transcript
+
+
+@pytest.mark.parametrize("params", sorted(SHARE_DIGESTS))
+def test_share_and_response_digests_are_pinned(params):
+    transcript = _seeded_transcript(params)
     digests = []
     for name in ("a_share", "b_share", "response"):
         h = hashlib.sha256()
@@ -271,6 +276,21 @@ def test_share_and_response_digests_are_pinned(params):
             h.update(np.ascontiguousarray(getattr(rec, name), dtype=np.int64).tobytes())
         digests.append(h.hexdigest())
     assert tuple(digests) == SHARE_DIGESTS[params]
+
+
+# SHA-256 of the JSONL text of _seeded_transcript, place coordinates included;
+# recorded while places held their coordinates as field-element objects
+TRANSCRIPT_DIGESTS = {
+    (2, 2, 1): "b48b5318baef7ca42c9712625464c25f4c5b9ab64ac7b0d2595298d0d95e8827",
+    (4, 3, 2): "1a268cd48e6bade5c0af582a220f903d4ee9738e1ac1a33f38070c70f1ec3db9",
+    (3, 4, 2): "b9dbe24b2961dd2e4d77f7dcba140f638a019af3d3e5a36947a4a82e96cffcbf",
+}
+
+
+@pytest.mark.parametrize("params", sorted(TRANSCRIPT_DIGESTS))
+def test_transcript_digest_is_pinned(params):
+    text = "\n".join(_seeded_transcript(params).to_jsonl_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == TRANSCRIPT_DIGESTS[params]
 
 
 def test_build_runs_one_elimination(monkeypatch):
@@ -355,7 +375,7 @@ def test_build_rejects_bad_fields():
 
 
 def test_places_have_distinct_x(inst221):
-    xs = [p.x.value for p in inst221.places]
+    xs = [p.x for p in inst221.places]
     assert len(set(xs)) == len(xs) == 8
 
 
@@ -379,8 +399,8 @@ def test_encode_scalar_oracle(inst221):
     for i, place in enumerate(inst221.places):
         expected = (
             int(mask[0, 0])
-            + 3 * curve.evaluate(f2, place).value
-            + 5 * curve.evaluate(f3, place).value
+            + 3 * curve.evaluate(f2, place)
+            + 5 * curve.evaluate(f3, place)
         ) % q
         assert enc.shares[i][0, 0] == expected
 
@@ -490,7 +510,7 @@ def test_security_generator_is_vandermonde(inst432):
     for side in ("A", "B"):
         gen = inst432.security_generator(side)
         assert gen.shape == (2, 24)
-        xs = [p.x.value for p in inst432.places]
+        xs = [p.x for p in inst432.places]
         expected = np.array([[pow(xv, k, q) for xv in xs] for k in range(2)])
         assert np.array_equal(gen, expected)
         assert all_square_submatrices_invertible(gen, q)
