@@ -3,7 +3,6 @@
 from .analysis import (
     AgWorkerCount,
     DegreeTableReport,
-    SchemeRateRow,
     SweepPoint,
     SweepSummary,
     compare_sweep,

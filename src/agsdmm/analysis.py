@@ -57,24 +57,6 @@ def workers_gasp_big(m: int, n: int, x: int) -> int:
     return 2 * m * n + 2 * x - 1
 
 
-@dataclass(frozen=True)
-class SchemeRateRow:
-    """Worker count and exact download rate m*n/N of one scheme at one point."""
-
-    scheme: str
-    m: int
-    n: int
-    x: int
-    workers: int
-    rate: Fraction
-
-    @classmethod
-    def make(cls, scheme: str, m: int, n: int, x: int, workers: int) -> "SchemeRateRow":
-        if workers < 1:
-            raise ValueError(f"worker count must be positive, got {workers}")
-        return cls(scheme, m, n, x, workers, Fraction(m * n, workers))
-
-
 # -- degree tables -------------------------------------------------------------
 
 
@@ -86,7 +68,6 @@ class DegreeTableReport:
     b_exponents: tuple[int, ...]
     table: tuple[tuple[int, ...], ...]
     distinct: tuple[int, ...]
-    recovery_threshold: int
 
     @property
     def distinct_count(self) -> int:
@@ -113,39 +94,54 @@ def degree_table_report(a_exponents, b_exponents) -> DegreeTableReport:
         if any(u >= v for u, v in zip(seq, seq[1:])):
             raise ValueError(f"{name} exponents must be strictly increasing, got {seq}")
     table = tuple(tuple(ai + bj for bj in b) for ai in a)
-    distinct = distinct_sums(a, b)
-    return DegreeTableReport(a, b, table, distinct, len(distinct))
+    return DegreeTableReport(a, b, table, distinct_sums(a, b))
 
 
 # -- parameter sweeps ----------------------------------------------------------
 
 
+SCHEMES = ("ag", "a3s", "gasp_big")
+
+
 @dataclass(frozen=True)
 class SweepPoint:
-    """All three schemes evaluated at one (m, n, x)."""
+    """Worker counts of the three schemes at one (m, n, x).
+
+    ag and ag_bound are None where the construction does not support the point.
+    The rates, best and ag_wins derive from the counts.
+    """
 
     m: int
     n: int
     x: int
-    ag: SchemeRateRow | None
+    ag: int | None
     ag_bound: int | None
-    a3s: SchemeRateRow
-    gasp_big: SchemeRateRow
+    a3s: int
+    gasp_big: int
 
     @property
     def ag_supported(self) -> bool:
         return self.ag is not None
 
     @property
+    def workers(self) -> dict[str, int]:
+        """Worker count per supported scheme, in SCHEMES order."""
+        counts = {"ag": self.ag, "a3s": self.a3s, "gasp_big": self.gasp_big}
+        return {scheme: w for scheme, w in counts.items() if w is not None}
+
+    def rate(self, scheme: str) -> Fraction:
+        """Exact download rate m*n/N of one supported scheme in SCHEMES."""
+        return Fraction(self.m * self.n, getattr(self, scheme))
+
+    @property
     def best(self) -> str:
-        rows = [r for r in (self.ag, self.a3s, self.gasp_big) if r is not None]
-        return min(rows, key=lambda r: r.workers).scheme
+        """The scheme with the fewest workers; ties go to the earlier one in SCHEMES."""
+        workers = self.workers
+        return min(workers, key=workers.get)
 
     @property
     def ag_wins(self) -> bool:
-        return self.ag is not None and self.ag.workers < min(
-            self.a3s.workers, self.gasp_big.workers
-        )
+        return self.ag is not None and self.ag < min(self.a3s, self.gasp_big)
 
 
 @dataclass(frozen=True)
@@ -153,7 +149,6 @@ class SweepSummary:
     total: int
     ag_supported: int
     ag_wins: int
-    caveat: str = SWEEP_CAVEAT
 
     @property
     def win_fraction(self) -> Fraction:
@@ -165,21 +160,16 @@ class SweepSummary:
             f"swept {self.total} parameter points ({self.ag_supported} with ag support)",
             f"ag strictly below both baselines at {self.ag_wins} points "
             f"({self.win_fraction} = {pct:.1f}%)",
-            f"note: {self.caveat}",
+            f"note: {SWEEP_CAVEAT}",
         ]
 
 
 def sweep_point(m: int, n: int, x: int) -> SweepPoint:
     try:
-        ag_workers, ag_bound = workers_ag(m, n, x)
-        ag = SchemeRateRow.make("ag", m, n, x, ag_workers)
+        ag, ag_bound = workers_ag(m, n, x)
     except ValueError:
         ag, ag_bound = None, None
-    return SweepPoint(
-        m=m, n=n, x=x, ag=ag, ag_bound=ag_bound,
-        a3s=SchemeRateRow.make("a3s", m, n, x, workers_a3s(m, n, x)),
-        gasp_big=SchemeRateRow.make("gasp_big", m, n, x, workers_gasp_big(m, n, x)),
-    )
+    return SweepPoint(m, n, x, ag, ag_bound, workers_a3s(m, n, x), workers_gasp_big(m, n, x))
 
 
 def compare_sweep(m_values, n_values, x_values) -> tuple[list[SweepPoint], SweepSummary]:
@@ -209,22 +199,17 @@ SWEEP_CSV_FIELDS = [
 UNSUPPORTED = "unsupported"
 
 
-def _rate_strings(row: SchemeRateRow) -> tuple[str, str]:
-    return str(row.rate), f"{float(row.rate):.4f}"
-
-
 def sweep_point_to_csv_row(point: SweepPoint) -> list[str]:
-    if point.ag is None:
-        ag_cells = [UNSUPPORTED, "", "", ""]
-    else:
-        ag_cells = [str(point.ag.workers), str(point.ag_bound), *_rate_strings(point.ag)]
-    return [
-        str(point.m), str(point.n), str(point.x),
-        *ag_cells,
-        str(point.a3s.workers), *_rate_strings(point.a3s),
-        str(point.gasp_big.workers), *_rate_strings(point.gasp_big),
-        point.best,
-    ]
+    row = [str(point.m), str(point.n), str(point.x)]
+    for scheme in SCHEMES:
+        workers = getattr(point, scheme)
+        if workers is None:
+            row += [UNSUPPORTED, "", "", ""]
+            continue
+        rate = point.rate(scheme)
+        bound = [str(point.ag_bound)] if scheme == "ag" else []
+        row += [str(workers), *bound, str(rate), f"{float(rate):.4f}"]
+    return [*row, point.best]
 
 
 def format_sweep_csv(points) -> str:
@@ -241,22 +226,31 @@ def write_sweep_csv(points, path) -> None:
 
 
 def parse_sweep_csv(text: str) -> list[SweepPoint]:
-    """Inverse of format_sweep_csv; rebuilt points re-emit to the identical text."""
+    """Inverse of format_sweep_csv; rebuilt points re-emit to the identical text.
+
+    Points come from the count columns. A row whose rate, decimal or best cells
+    differ from those its counts render is refused.
+    """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != SWEEP_CSV_FIELDS:
         raise ValueError("unrecognized sweep CSV header")
     points = []
-    for row in rows[1:]:
+    for line, row in enumerate(rows[1:], start=2):
         rec = dict(zip(SWEEP_CSV_FIELDS, row, strict=True))
-        m, n, x = int(rec["m"]), int(rec["n"]), int(rec["x"])
-        if rec["ag_workers"] == UNSUPPORTED:
-            ag, ag_bound = None, None
-        else:
-            ag = SchemeRateRow("ag", m, n, x, int(rec["ag_workers"]), Fraction(rec["ag_rate"]))
-            ag_bound = int(rec["ag_bound"])
-        a3s = SchemeRateRow("a3s", m, n, x, int(rec["a3s_workers"]), Fraction(rec["a3s_rate"]))
-        gasp = SchemeRateRow(
-            "gasp_big", m, n, x, int(rec["gasp_big_workers"]), Fraction(rec["gasp_big_rate"])
+        supported = rec["ag_workers"] != UNSUPPORTED
+        point = SweepPoint(
+            int(rec["m"]), int(rec["n"]), int(rec["x"]),
+            ag=int(rec["ag_workers"]) if supported else None,
+            ag_bound=int(rec["ag_bound"]) if supported else None,
+            a3s=int(rec["a3s_workers"]),
+            gasp_big=int(rec["gasp_big_workers"]),
         )
-        points.append(SweepPoint(m=m, n=n, x=x, ag=ag, ag_bound=ag_bound, a3s=a3s, gasp_big=gasp))
+        if min(point.workers.values()) < 1:
+            raise ValueError(f"sweep CSV line {line}: worker counts must be positive")
+        differ = [f for f, want, got in zip(SWEEP_CSV_FIELDS, sweep_point_to_csv_row(point), row)
+                  if want != got]
+        if differ:
+            raise ValueError(f"sweep CSV line {line}: cells that disagree with its worker "
+                             f"counts: {', '.join(differ)}")
+        points.append(point)
     return points

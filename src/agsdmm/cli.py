@@ -9,8 +9,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import linalg
 from .analysis import compare_sweep, degree_table_report, write_sweep_csv
 from .protocol import empirical_secrecy_audit, run_protocol
@@ -85,8 +83,7 @@ def cmd_multiply(args) -> int:
             raise ValueError(
                 f"matrix {name} is over F_{q_in} but the scheme works over F_{instance.q}"
             )
-    rng = np.random.default_rng(instance.params.seed)
-    result, transcript = run_protocol(a, b, instance, rng)
+    result, transcript = run_protocol(a, b, instance)
     write_matrix_csv(args.out, result, instance.q)
     if args.transcript:
         transcript.to_jsonl(args.transcript)
@@ -109,7 +106,7 @@ def cmd_degree_table(args) -> int:
     report = degree_table_report(_parse_int_list(args.a), _parse_int_list(args.b))
     print(report.format())
     print(f"distinct entries: {report.distinct_count}")
-    print(f"recovery threshold: {report.recovery_threshold}")
+    print(f"recovery threshold: {report.distinct_count}")
     return EXIT_OK
 
 

@@ -154,8 +154,12 @@ def pole_sequences(m: int, n: int, x: int) -> tuple[int, tuple[int, ...], tuple[
             f"unsupported parameters (m={m}, n={n}, x={x}): curve degree d={d} < 3 "
             "degenerates to the genus-0 case"
         )
-    phi = tuple(2 * k for k in range(x)) + tuple(d + j for j in range(m))
-    gamma = tuple(2 * k for k in range(x)) + tuple(j * m + 2 * x - 2 for j in range(1, n + 1))
+    # gamma's block orders are j*m + 2x - 2 for j = 1..n. Built from ranges, not
+    # generators: CPython sizes tuple(range) exactly, while tuple(generator)
+    # resizes, and in a long sweep the resized tuples fill its free lists
+    masks = tuple(range(0, 2 * x, 2))
+    phi = masks + tuple(range(d, d + m))
+    gamma = masks + tuple(range(m + 2 * x - 2, m * n + 2 * x - 1, m))
     return d, phi, gamma
 
 
@@ -163,14 +167,16 @@ def derive_parameters(m: int, n: int, x: int) -> PoleStructure:
     """Pole structure for partition counts m, n (one of them even) and collusion x."""
     m, n, swapped = orient(m, n)
     d, phi, gamma = pole_sequences(m, n, x)
-    g = (d - 1) // 2
-    table = tuple(tuple(p + w for w in gamma) for p in phi)
-    distinct = distinct_sums(phi, gamma)
     recovery = tuple(sorted(phi[x + j] + gamma[x + jp] for j in range(m) for jp in range(n)))
+    poles = PoleStructure(
+        m=m, n=n, x=x, d=d, g=(d - 1) // 2, phi=phi, gamma=gamma,
+        table=tuple(tuple(p + w for w in gamma) for p in phi),
+        distinct_poles=distinct_sums(phi, gamma), recovery_poles=recovery, swapped=swapped,
+    )
 
     # structural guarantees of the sequence choice; checked explicitly, not by
     # assert, so that they still hold under python -O
-    cutoff = m * n + 4 * x - 4
+    cutoff = poles.interference_degree
     guarantees = {
         "phi and gamma have distinct entries":
             len(set(phi)) == len(phi) and len(set(gamma)) == len(gamma),
@@ -179,20 +185,16 @@ def derive_parameters(m: int, n: int, x: int) -> PoleStructure:
         "recovery poles are distinct": len(set(recovery)) == m * n,
         "recovery poles lie above the interference degree": all(w > cutoff for w in recovery),
         "mask products stay at or below the interference degree": all(
-            table[j][jp] <= cutoff
+            poles.table[j][jp] <= cutoff
             for j in range(m + x) for jp in range(n + x)
             if j < x or jp < x
         ),
-        "worker count is within its bound": len(distinct) <= worker_bound(m, n, x),
+        "worker count is within its bound": poles.n_workers <= poles.worker_bound,
     }
     broken = [name for name, holds in guarantees.items() if not holds]
     if broken:
         raise RuntimeError(f"pole structure for m={m}, n={n}, x={x} breaks: {'; '.join(broken)}")
-
-    return PoleStructure(
-        m=m, n=n, x=x, d=d, g=g, phi=phi, gamma=gamma,
-        table=table, distinct_poles=distinct, recovery_poles=recovery, swapped=swapped,
-    )
+    return poles
 
 
 def _usable_x_count(d: int, q: int, required: int) -> int:
@@ -280,8 +282,11 @@ class SchemeInstance:
         blocks = np.split(mat, count, axis=axis)
         masks = [rng.integers(0, q, size=blocks[0].shape, dtype=np.int64)
                  for _ in range(self.poles.x)]
-        # share_i = sum_t coeff[t, i] * stacked[t]; the inner length x + count is
-        # too short for float64 BLAS to beat one int64 tensordot
+        # share_i = sum_t coeff[t, i] * stacked[t], as one int64 tensordot. A float64
+        # BLAS product of these thin shapes is usually faster alone, but it needs
+        # float64 copies of the share stack, which at (4, 3, 2) with 512x512 by
+        # 512x384 inputs raised peak memory by 15%; on 2 BLAS threads some
+        # processes also take ~16 ms for every thin float64 product
         stacked = np.stack(masks + blocks)
         if len(stacked) * (q - 1) ** 2 < linalg.INT64_EXACT:
             shares = np.tensordot(coeff.T, stacked, axes=1)

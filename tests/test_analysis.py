@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -78,7 +79,6 @@ def test_degree_table_reference():
     report = degree_table_report((0, 1, 2, 9, 12), (0, 3, 6, 9, 10))
     assert [list(row) for row in report.table] == REFERENCE_TABLE
     assert report.distinct_count == 18
-    assert report.recovery_threshold == 18
     formatted = report.format()
     assert "21 22" in formatted and formatted.count("\n") == 6
 
@@ -103,18 +103,18 @@ def test_degree_table_rejects_bad_sequences():
 def test_sweep_point_both_odd_unsupported():
     point = sweep_point(3, 3, 2)
     assert not point.ag_supported and point.ag is None and point.ag_bound is None
-    assert point.a3s.workers == 19 and point.gasp_big.workers == 21
+    assert point.a3s == 19 and point.gasp_big == 21
     assert point.best == "a3s"
     assert not point.ag_wins
 
 
 def test_sweep_point_4_3_2():
     point = sweep_point(4, 3, 2)
-    assert point.ag.workers == 24
-    assert point.a3s.workers == 23
-    assert point.gasp_big.workers == 27
+    assert point.ag == 24
+    assert point.a3s == 23
+    assert point.gasp_big == 27
     assert point.best == "a3s"
-    assert point.ag.rate == Fraction(12, 24) == Fraction(1, 2)
+    assert point.rate("ag") == Fraction(12, 24) == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("m", [4, 8, 14])
@@ -150,7 +150,7 @@ def test_sweep_bound_property():
     points, _ = compare_sweep(range(2, 11), range(1, 6), range(1, 6))
     for p in points:
         if p.ag_supported:
-            assert p.ag.workers <= p.ag_bound
+            assert p.ag <= p.ag_bound
 
 
 def test_sweep_csv_roundtrip(tmp_path):
@@ -174,3 +174,32 @@ def test_rate_row_decimal_rendering():
     point = sweep_point(2, 2, 1)
     row = format_sweep_csv([point]).splitlines()[1].split(",")
     assert row[5] == "1/2" and row[6] == "0.5000"
+
+
+def test_sweep_csv_digest_is_pinned():
+    points, _ = compare_sweep(range(2, 21), range(1, 21), range(1, 11))
+    digest = hashlib.sha256(format_sweep_csv(points).encode()).hexdigest()
+    assert digest == "6e107eefb5030c961cbe8cfb4f3600e71bc0952bb596744f4bb6578c4e0522cb"
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("ag_rate", "1/3"), ("a3s_rate_decimal", "0.4999"), ("best", "gasp_big")],
+)
+def test_sweep_csv_rejects_cells_that_disagree_with_counts(field, value):
+    # (2, 2, 1): ag 8, a3s 8, gasp_big 9 workers, so best is ag
+    text = format_sweep_csv([sweep_point(2, 2, 1)])
+    header, row = (line.split(",") for line in text.splitlines())
+    assert parse_sweep_csv(text) == [sweep_point(2, 2, 1)]
+    assert row[header.index(field)] != value
+    row[header.index(field)] = value
+    with pytest.raises(ValueError, match=field):
+        parse_sweep_csv(",".join(header) + "\n" + ",".join(row) + "\n")
+
+
+def test_sweep_csv_rejects_non_positive_counts():
+    text = format_sweep_csv([sweep_point(2, 2, 1)])
+    zeroed = text.replace(",8,1/2,0.5000,9,", ",0,1/2,0.5000,9,")
+    assert zeroed != text
+    with pytest.raises(ValueError, match="positive"):
+        parse_sweep_csv(zeroed)
