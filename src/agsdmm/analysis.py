@@ -38,7 +38,7 @@ class AgWorkerCount(NamedTuple):
 def workers_ag(m: int, n: int, x: int) -> AgWorkerCount:
     """Actual worker count of this construction (and its bound), best orientation."""
     # the pole sequences alone, without the table and checks of derive_parameters
-    me, ne, _ = orient(m, n)
+    me, ne, _ = orient(m, n, x)
     _, phi, gamma = pole_sequences(me, ne, x)
     return AgWorkerCount(len(distinct_sums(phi, gamma)), worker_bound(me, ne, x))
 

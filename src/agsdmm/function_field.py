@@ -14,6 +14,7 @@ d odd, split over the base field. The key facts used throughout:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,6 +24,54 @@ from .field import PrimeField
 
 # x-coordinates examined per numpy step of the place scan
 SCAN_CHUNK = 4096
+
+
+def _euler(v: np.ndarray, q: int) -> np.ndarray:
+    """v^((q-1)/2) mod q for each v in [0, q): 1 on a nonzero square, q - 1 on a non-square, 0 on 0.
+
+    Square-and-multiply on int64; q < 2^31 keeps every product below 2^62.
+    """
+    out, base, e = np.ones_like(v), v.copy(), (q - 1) // 2
+    while e:
+        if e & 1:
+            out *= base
+            out %= q
+        base *= base
+        base %= q
+        e >>= 1
+    return out
+
+
+def scan_run_x(q: int, d: int, limit: int | None = None) -> np.ndarray:
+    """HyperellipticCurve.scan_x for the roots 0, 1, ..., d - 1, without building the curve.
+
+    f(x) = x(x - 1)...(x - (d - 1)) is zero for x < d. For x >= d it is the
+    product of the d nonzero residues x - d + 1, ..., x, and the Legendre
+    symbol is multiplicative, so f(x) is a square iff that window holds an
+    even number of non-residues. One Euler pass over the residues the scan
+    reaches and a running count of the non-residues among them decide every x;
+    no f(x) is computed. Each chunk of SCAN_CHUNK residues carries the count's
+    parity at the d residues before it, so memory stays O(SCAN_CHUNK + d)
+    whatever q is.
+    """
+    if not 1 <= d <= q:
+        raise ValueError(f"need 1 <= d <= q for the roots 0, ..., d - 1, got d={d}, q={q}")
+    want = q if limit is None else limit
+    xs, found = [], 0
+    # parity of the non-residue count over 1..r, for the d residues r before the chunk
+    # (those before 0 are placeholders: x < d is a root and a hit whatever they hold)
+    before = np.zeros(d, dtype=np.int64)
+    for start in range(0, q, SCAN_CHUNK):
+        x = np.arange(start, min(start + SCAN_CHUNK, q), dtype=np.int64)
+        parity = (np.cumsum(_euler(x, q) == q - 1) + before[-1]) & 1
+        window = np.concatenate((before, parity))
+        # window[d + i] is the parity at x[i], window[i] the parity at x[i] - d
+        xs.append(x[(x < d) | (window[d:] == window[:-d])])
+        found += len(xs[-1])
+        if found >= want:
+            break
+        before = window[-d:]
+    return np.concatenate(xs)[:want]
 
 
 @dataclass(frozen=True)
@@ -189,46 +238,53 @@ class HyperellipticCurve:
         rows = [powers[mono.a] * ys % q if mono.b else powers[mono.a] for mono in monos]
         return np.array(rows, dtype=np.int64).reshape(len(monos), len(xs))
 
-    def scan_x(self, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The x in 0, 1, 2, ... with f(x) zero or a square, and those f(x) values.
+    def f_values(self, xs) -> np.ndarray:
+        """f at each entry of xs, as an int64 array in [0, q).
 
-        Every returned f(x) is zero or a square, so field.square_roots applies.
-
-        Stops after limit such x, or scans all of F_q when limit is None. f is a
-        running product over the roots and Euler's criterion a square-and-multiply,
-        both on int64 chunks; q < 2^31 keeps every product below q^2 < 2^62.
+        A running product over the roots on int64; q < 2^31 keeps every
+        product below q^2 < 2^62.
         """
         q = self.field.q
+        xs = np.asarray(xs, dtype=np.int64)
+        f = np.ones_like(xs)
+        for r in self.roots:
+            f *= xs - r
+            f %= q
+        return f
+
+    def scan_x(self, limit: int | None = None) -> np.ndarray:
+        """The x in 0, 1, 2, ... at which the curve has a point: f(x) zero or a square.
+
+        Stops after limit such x, or scans all of F_q when limit is None, and
+        returns them as an int64 array. When the roots are 0, ..., d - 1 this is
+        scan_run_x, a Legendre-symbol window that evaluates no f(x). Any other
+        roots take the general path: f(x) by f_values and Euler's criterion,
+        both on chunks of SCAN_CHUNK x. Callers that need y compute f_values at
+        the returned x only.
+        """
+        q = self.field.q
+        # d distinct residues whose largest is d - 1 are exactly 0, ..., d - 1
+        if max(self.roots) == self.d - 1:
+            return scan_run_x(q, self.d, limit)
         want = q if limit is None else limit
-        xs, fs = [], []
+        xs, found = [], 0
         for start in range(0, q, SCAN_CHUNK):
             x = np.arange(start, min(start + SCAN_CHUNK, q), dtype=np.int64)
-            f = np.ones_like(x)
-            for r in self.roots:
-                f *= x - r
-                f %= q
-            # Euler's criterion: f^((q-1)/2) is 1 for a nonzero square
-            euler, base, e = np.ones_like(f), f.copy(), (q - 1) // 2
-            while e:
-                if e & 1:
-                    euler = euler * base % q
-                base = base * base % q
-                e >>= 1
-            hit = (f == 0) | (euler == 1)
-            xs.append(x[hit])
-            fs.append(f[hit])
-            if sum(map(len, xs)) >= want:
+            xs.append(x[_euler(self.f_values(x), q) != q - 1])
+            found += len(xs[-1])
+            if found >= want:
                 break
-        return np.concatenate(xs)[:want], np.concatenate(fs)[:want]
+        return np.concatenate(xs)[:want]
+
+    def _scanned(self, limit: int | None) -> Iterator[tuple[int, int]]:
+        # (x, f(x)) for the x that scan_x returns, as Python ints
+        xs = self.scan_x(limit)
+        return zip(xs.tolist(), self.f_values(xs).tolist())
 
     def enumerate_places(self) -> list[Place]:
         """All rational places: affine points sorted by (x, y), then infinity."""
-        field = self.field
-        places = [
-            Place(a, y)
-            for a, fa in zip(*(v.tolist() for v in self.scan_x()))
-            for y in field.square_roots(fa)
-        ]
+        square_roots = self.field.square_roots
+        places = [Place(a, y) for a, fa in self._scanned(None) for y in square_roots(fa)]
         places.append(Place.at_infinity())
         return places
 
@@ -237,11 +293,8 @@ class HyperellipticCurve:
 
         Only the first limit such x-coordinates are taken when limit is given.
         """
-        field = self.field
-        return [
-            Place(a, field.square_roots(fa)[0])
-            for a, fa in zip(*(v.tolist() for v in self.scan_x(limit)))
-        ]
+        square_roots = self.field.square_roots
+        return [Place(a, square_roots(fa)[0]) for a, fa in self._scanned(limit)]
 
     def __repr__(self):
         return f"HyperellipticCurve(q={self.field.q}, d={self.d}, genus={self.genus})"

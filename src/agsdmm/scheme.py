@@ -34,7 +34,7 @@ import numpy as np
 
 from . import linalg
 from .field import PrimeField, is_prime
-from .function_field import HyperellipticCurve
+from .function_field import HyperellipticCurve, scan_run_x
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,12 @@ class SchemeParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1 or self.x < 1:
-            raise ValueError(f"m, n, x must be positive, got ({self.m}, {self.n}, {self.x})")
+        _check_positive(self.m, self.n, self.x)
+
+
+def _check_positive(m: int, n: int, x: int) -> None:
+    if m < 1 or n < 1 or x < 1:
+        raise ValueError(f"m, n, x must be positive, got ({m}, {n}, {x})")
 
 
 @dataclass(frozen=True)
@@ -133,8 +137,13 @@ def worker_bound(m: int, n: int, x: int) -> int:
     return (3 * m * n + m) // 2 + 3 * x - 2
 
 
-def orient(m: int, n: int) -> tuple[int, int, bool]:
-    """(m, n) reordered so that the even partition count comes first, and whether they swapped."""
+def orient(m: int, n: int, x: int) -> tuple[int, int, bool]:
+    """(m, n) reordered so that the even partition count comes first, and whether they swapped.
+
+    m, n and x are checked as the user gave them, before any swap, so that an
+    error names the parameter that is wrong.
+    """
+    _check_positive(m, n, x)
     if m % 2 == 0:
         return m, n, False
     if n % 2 == 0:
@@ -165,7 +174,7 @@ def pole_sequences(m: int, n: int, x: int) -> tuple[int, tuple[int, ...], tuple[
 
 def derive_parameters(m: int, n: int, x: int) -> PoleStructure:
     """Pole structure for partition counts m, n (one of them even) and collusion x."""
-    m, n, swapped = orient(m, n)
+    m, n, swapped = orient(m, n, x)
     d, phi, gamma = pole_sequences(m, n, x)
     recovery = tuple(sorted(phi[x + j] + gamma[x + jp] for j in range(m) for jp in range(n)))
     poles = PoleStructure(
@@ -197,14 +206,11 @@ def derive_parameters(m: int, n: int, x: int) -> PoleStructure:
     return poles
 
 
-def _usable_x_count(d: int, q: int, required: int) -> int:
-    # distinct-x places of the scheme's curve over F_q, counted up to required
-    curve = HyperellipticCurve(PrimeField(q), range(d))
-    return len(curve.scan_x(required)[0])
-
-
 def smallest_admissible_field(d: int, required_places: int) -> int:
-    """Smallest odd prime q > d whose curve has at least required_places distinct-x places."""
+    """Smallest odd prime q > d whose curve has at least required_places distinct-x places.
+
+    Each candidate is counted by scan_run_x, which builds no curve and evaluates no f(x).
+    """
     g = (d - 1) // 2
     # any prime at or above this square is sufficient by the point-count bound
     t = g + math.isqrt(g * g + 2 * required_places) + 2
@@ -212,7 +218,7 @@ def smallest_admissible_field(d: int, required_places: int) -> int:
     # a curve over F_q has at most q distinct x-coordinates, so no smaller q passes
     q = max(d + 2, required_places) | 1
     while q <= cap:
-        if is_prime(q) and _usable_x_count(d, q, required_places) >= required_places:
+        if is_prime(q) and len(scan_run_x(q, d, required_places)) >= required_places:
             return q
         q += 2
     raise RuntimeError(f"no admissible field found below {cap} for d={d}")
@@ -366,7 +372,7 @@ def check_field_order(poles: PoleStructure, q: int) -> None:
     if q <= poles.d:
         raise ValueError(f"field order {q} too small: need q > d = {poles.d} distinct roots")
     required = poles.code_degree + 1
-    available = _usable_x_count(poles.d, q, required)
+    available = len(scan_run_x(q, poles.d, required))
     if available < required:
         raise ValueError(
             f"field order {q} admits only {available} usable places; need at least {required}"

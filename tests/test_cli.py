@@ -35,6 +35,15 @@ def test_params_invalid_inputs(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["params", "build", "audit"])
+@pytest.mark.parametrize("m,n,x", [(-1, 2, 1), (3, 0, 1), (2, 2, 0), (0, 3, 1)])
+def test_nonpositive_parameters_are_named_as_given(tmp_path, capsys, command, m, n, x):
+    # checked before the orientation swap, so the message shows the user's m, n, x
+    extra = {"params": [], "build": ["--out", str(tmp_path / "s.json")], "audit": ["--q", "5"]}
+    assert main([command, "--m", str(m), "--n", str(n), "--x", str(x), *extra[command]]) == 1
+    assert capsys.readouterr().err == f"error: m, n, x must be positive, got ({m}, {n}, {x})\n"
+
+
 def test_missing_argument_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["params", "--m", "2", "--n", "2"])

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agsdmm import (
     HyperellipticCurve,
@@ -14,7 +16,8 @@ from agsdmm import (
     build_scheme,
     is_prime,
 )
-from agsdmm.function_field import SCAN_CHUNK
+from agsdmm import function_field
+from agsdmm.function_field import SCAN_CHUNK, scan_run_x
 
 
 @pytest.fixture
@@ -194,8 +197,9 @@ def _brute_force_x_scan(curve):
 def test_scan_matches_brute_force_reference(q, roots):
     curve = HyperellipticCurve(PrimeField(q), roots)
     xs, fs = _brute_force_x_scan(curve)
-    got_x, got_f = curve.scan_x()
-    assert got_x.tolist() == xs and got_f.tolist() == fs
+    got_x = curve.scan_x()
+    assert got_x.dtype == np.int64
+    assert got_x.tolist() == xs and curve.f_values(got_x).tolist() == fs
     places = curve.select_distinct_x_places()
     assert [p.coords() for p in places] == [
         (a, curve.field.sqrt(fa)[0]) for a, fa in zip(xs, fs)
@@ -204,17 +208,69 @@ def test_scan_matches_brute_force_reference(q, roots):
     assert [p.coords() for p in curve.enumerate_places()[:-1]] == expected
 
 
+_PRIMES = {r: [p for p in range(5, 700) if is_prime(p) and p % 4 == r] for r in (1, 3)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("residue", [1, 3])
+@pytest.mark.parametrize("run", [True, False], ids=["run-roots", "scattered-roots"])
+def test_scan_window_matches_brute_force_property(residue, run, data):
+    # the Legendre-symbol window (roots 0..d-1) and the general path (any
+    # other roots) against the scalar reference, with chunks of a few x so
+    # that windows cross chunk boundaries and d - 1 often exceeds the chunk
+    q = data.draw(st.sampled_from(_PRIMES[residue]), label="q")
+    d = 2 * data.draw(st.integers(0, min(25, (q - 1) // 2)), label="(d - 1) / 2") + 1
+    if run:
+        roots = tuple(range(d))
+    else:
+        roots = tuple(data.draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d, unique=True)
+                                .filter(lambda r: max(r) != d - 1), label="roots"))
+    chunk = data.draw(st.integers(1, 6), label="SCAN_CHUNK")
+    curve = HyperellipticCurve(PrimeField(q), roots)
+    xs, fs = _brute_force_x_scan(curve)
+    limit = data.draw(st.sampled_from([None, 0, len(xs), len(xs) + 1, len(xs) + 9])
+                      | st.integers(1, len(xs)), label="limit")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(function_field, "SCAN_CHUNK", chunk)
+        got = curve.scan_x(limit)
+        places = curve.select_distinct_x_places(limit)
+    k = len(xs) if limit is None else limit
+    assert got.tolist() == xs[:k]
+    assert [p.coords() for p in places] == [
+        (a, curve.field.sqrt(fa)[0]) for a, fa in zip(xs[:k], fs[:k])
+    ]
+
+
+def test_window_carries_more_than_a_chunk(monkeypatch):
+    # d - 1 = 20 flags carried across chunks of 3: every window spans several chunks
+    monkeypatch.setattr(function_field, "SCAN_CHUNK", 3)
+    curve = HyperellipticCurve(PrimeField(1019), range(21))
+    xs, _ = _brute_force_x_scan(curve)
+    assert curve.scan_x().tolist() == xs
+    for k in (0, 20, 21, 22, len(xs) // 2, len(xs), len(xs) + 1):
+        assert scan_run_x(1019, 21, k).tolist() == xs[:k]
+
+
+def test_window_scan_needs_the_run_to_fit_the_field():
+    assert scan_run_x(7, 7).tolist() == list(range(7))  # f = x^7 - x vanishes on F_7
+    with pytest.raises(ValueError):
+        scan_run_x(7, 9)
+    with pytest.raises(ValueError):
+        scan_run_x(7, 0)
+
+
 def test_scan_limit_returns_prefix():
     # q = 8209 > 2 SCAN_CHUNK, so some limits stop inside the second chunk
     q = next(p for p in range(2 * SCAN_CHUNK + 1, 3 * SCAN_CHUNK, 2) if is_prime(p))
-    curve = HyperellipticCurve(PrimeField(q), range(5))
-    full_x, full_f = curve.scan_x()
-    assert SCAN_CHUNK // 2 < len(full_x) < 2 * SCAN_CHUNK
-    for k in (0, 1, 7, SCAN_CHUNK // 2, SCAN_CHUNK, len(full_x), len(full_x) + 5):
-        x, f = curve.scan_x(k)
-        assert x.tolist() == full_x[:k].tolist() and f.tolist() == full_f[:k].tolist()
-    places = curve.select_distinct_x_places(10)
-    assert places == curve.select_distinct_x_places()[:10]
+    for roots in (range(5), (3, 7, 11, 12, 20)):
+        curve = HyperellipticCurve(PrimeField(q), roots)
+        full_x = curve.scan_x()
+        assert SCAN_CHUNK // 2 < len(full_x) < 2 * SCAN_CHUNK
+        for k in (0, 1, 7, SCAN_CHUNK // 2, SCAN_CHUNK, len(full_x), len(full_x) + 5):
+            assert curve.scan_x(k).tolist() == full_x[:k].tolist()
+        places = curve.select_distinct_x_places(10)
+        assert places == curve.select_distinct_x_places()[:10]
 
 
 @pytest.mark.parametrize("q,d", [(7, 3), (23, 5), (101, 7), (1009, 3)])

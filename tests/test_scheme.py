@@ -27,7 +27,7 @@ from agsdmm import (
     smallest_admissible_field,
     write_matrix_csv,
 )
-from agsdmm.field import PrimeField, is_prime
+from agsdmm.field import is_prime
 from agsdmm.function_field import HyperellipticCurve
 from agsdmm.linalg import LUFactorization
 from agsdmm.scheme import orient
@@ -123,11 +123,15 @@ def test_structural_checks_survive_python_O():
 
 
 def test_resolve_orientation():
-    assert orient(2, 3) == (2, 3, False)
-    assert orient(3, 2) == (2, 3, True)
-    assert orient(4, 6) == (4, 6, False)
+    assert orient(2, 3, 1) == (2, 3, False)
+    assert orient(3, 2, 1) == (2, 3, True)
+    assert orient(4, 6, 2) == (4, 6, False)
     with pytest.raises(ValueError):
-        orient(3, 3)
+        orient(3, 3, 1)
+    # checked before any swap, so the message names the user's values
+    for m, n, x in ((-1, 2, 1), (3, 0, 1), (2, 3, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"m, n, x must be positive, got ({m}, {n}, {x})")):
+            orient(m, n, x)
 
 
 def test_derive_parameters_orients_odd_m():
@@ -315,11 +319,28 @@ def test_build_runs_one_elimination(monkeypatch):
         assert calls == evaluations == [(inst.n_workers, inst.poles.code_degree + 1)]
 
 
+def _usable_x_reference(d, q):
+    # every x of F_q with f(x) = x(x-1)...(x-(d-1)) zero or a square: f as a
+    # running product over the roots and Euler's criterion, independent of
+    # the library's place scan
+    x = np.arange(q, dtype=np.int64)
+    f = np.ones_like(x)
+    for r in range(d):
+        f = f * (x - r) % q
+    euler, base, e = np.ones_like(f), f.copy(), (q - 1) // 2
+    while e:
+        if e & 1:
+            euler = euler * base % q
+        base = base * base % q
+        e >>= 1
+    return int(np.count_nonzero((f == 0) | (euler == 1)))
+
+
 def _field_search_from_d_plus_2(d, required):
     # counts every x of F_q, not only the first required ones
     q = d + 2
     while True:
-        if is_prime(q) and len(HyperellipticCurve(PrimeField(q), range(d)).scan_x()[0]) >= required:
+        if is_prime(q) and _usable_x_reference(d, q) >= required:
             return q
         q += 2
 
@@ -331,7 +352,21 @@ def test_field_search_starts_late_without_changing_q(m, n, x):
     # curve over F_q has at most q distinct x-coordinates
     poles = derive_parameters(m, n, x)
     d, required = poles.d, poles.code_degree + 1
-    assert smallest_admissible_field(d, required) == _field_search_from_d_plus_2(d, required)
+    q = smallest_admissible_field(d, required)
+    assert q == _field_search_from_d_plus_2(d, required)
+    if (m, n, x) == (14, 14, 10):
+        assert q == 617
+
+
+def test_field_search_builds_no_curve(monkeypatch):
+    # candidates are counted by the Legendre-symbol window alone: no curve, no f(x)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the field search built a curve or evaluated f")
+
+    monkeypatch.setattr(HyperellipticCurve, "__init__", refuse)
+    monkeypatch.setattr(HyperellipticCurve, "f_values", refuse)
+    poles = derive_parameters(14, 14, 10)
+    assert smallest_admissible_field(poles.d, poles.code_degree + 1) == 617
 
 
 def test_field_search_can_stop_at_its_first_candidate():
