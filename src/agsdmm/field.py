@@ -44,12 +44,6 @@ class PrimeField:
             raise ValueError(f"field order {q} is not prime")
         self.q = q
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.q == self.q
-
-    def __hash__(self):
-        return hash(("PrimeField", self.q))
-
     def __repr__(self):
         return f"PrimeField({self.q})"
 

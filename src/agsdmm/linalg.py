@@ -19,6 +19,9 @@ FLOAT64_EXACT = 2**53
 INT64_EXACT = 2**63
 # columns eliminated per step of the blocked elimination and its triangular solves
 PANEL_WIDTH = 32
+# float64 bytes of b and of the result per column chunk of a wide product in
+# the float64 tier, which never copies a whole operand or result to float64
+CHUNK_BYTES = 2**20
 
 
 class SingularMatrixError(ValueError):
@@ -61,13 +64,28 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
     A dot product of length k is at most k (q-1)^2, so float64 BLAS is exact
     below 2^53 (every partial sum is an integer a double holds exactly) and
-    int64 below 2^63; past that the sum is taken in Python integers.
+    int64 below 2^63; past that the sum is taken in Python integers. The
+    float64 tier takes the columns of b CHUNK_BYTES at a time when the
+    product does not fit in one chunk.
     """
-    bound = a.shape[-1] * (q - 1) ** 2
+    rows, inner, cols = a.shape[0], a.shape[-1], b.shape[-1]
+    bound = inner * (q - 1) ** 2
     if bound < FLOAT64_EXACT:
         # the float64 sums are exact integers; reducing them as int64 is an
         # order of magnitude faster than np.fmod
-        out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        a64 = a.astype(np.float64)
+        step = max(1, CHUNK_BYTES // (8 * max(rows, inner, 1)))
+        if cols <= step:
+            # the chunk loop would add microseconds to each of the hundreds
+            # of small products a run makes
+            out = (a64 @ b.astype(np.float64)).astype(np.int64)
+        else:
+            out = np.empty((rows, cols), dtype=np.int64)
+            for c0 in range(0, cols, step):
+                chunk = out[:, c0:c0 + step]
+                chunk[:] = a64 @ b[:, c0:c0 + step].astype(np.float64)
+                np.remainder(chunk, q, out=chunk)
+            return out
     elif bound < INT64_EXACT:
         out = a @ b
     else:

@@ -288,18 +288,10 @@ class SchemeInstance:
         blocks = np.split(mat, count, axis=axis)
         masks = [rng.integers(0, q, size=blocks[0].shape, dtype=np.int64)
                  for _ in range(self.poles.x)]
-        # share_i = sum_t coeff[t, i] * stacked[t], as one int64 tensordot. A float64
-        # BLAS product of these thin shapes is usually faster alone, but it needs
-        # float64 copies of the share stack, which at (4, 3, 2) with 512x512 by
-        # 512x384 inputs raised peak memory by 15%; on 2 BLAS threads some
-        # processes also take ~16 ms for every thin float64 product
+        # share_i = sum_t coeff[t, i] * stacked[t], one product mod q
         stacked = np.stack(masks + blocks)
-        if len(stacked) * (q - 1) ** 2 < linalg.INT64_EXACT:
-            shares = np.tensordot(coeff.T, stacked, axes=1)
-            np.remainder(shares, q, out=shares)
-        else:
-            flat = linalg._matmul_reduced(coeff.T, stacked.reshape(len(stacked), -1), q)
-            shares = flat.reshape((-1,) + stacked.shape[1:])
+        flat = linalg._matmul_reduced(coeff.T, stacked.reshape(len(stacked), -1), q)
+        shares = flat.reshape((self.n_workers,) + stacked.shape[1:])
         return EncodedShares(side, list(shares))
 
     # -- worker computation and decoding -----------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -261,6 +263,44 @@ def test_matmul_mod_reduces_negative_and_unreduced_entries():
     a = rng.integers(-1000, 1000, size=(4, 6))
     b = rng.integers(-1000, 1000, size=(6, 5))
     assert np.array_equal(matmul_mod(a, b, 97), a @ b % 97)
+
+
+@pytest.mark.parametrize("q", TIER_PRIMES)
+@pytest.mark.parametrize("rows,inner,cols", [
+    (4, 3, 10), (4, 3, 12), (1, 40, 7), (0, 3, 10), (4, 0, 10), (4, 3, 0), (0, 0, 0),
+])
+@pytest.mark.parametrize("chunk_bytes", [None, 96])
+def test_matmul_reduced_in_column_chunks(q, rows, inner, cols, chunk_bytes, monkeypatch):
+    # at 96 bytes a float64 product takes 96 // (8 max(rows, inner)) columns
+    # per chunk: 3 of 10 leaves a ragged chunk of 1, 3 of 12 none, and a
+    # 40-long inner product one column at a time; zero-size operands must
+    # neither divide by zero nor change shape
+    if chunk_bytes is not None:
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(rows * 100 + cols)
+    a = rng.integers(0, q, size=(rows, inner))
+    b = rng.integers(0, q, size=(inner, cols))
+    got = linalg._matmul_reduced(a, b, q)
+    assert got.dtype == np.int64 and got.shape == (rows, cols)
+    assert np.array_equal(got, (a.astype(object) @ b.astype(object)) % q)
+
+
+def test_matmul_reduced_never_copies_a_wide_operand_to_float64():
+    # numpy reports its buffers to tracemalloc: past the int64 result, a wide
+    # float64-tier product holds one column chunk of b and one of the result
+    # in float64, not float64 copies of the whole of b (6.4 MB) and of the
+    # result (12.8 MB)
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, 97, size=(8, 4))
+    b = rng.integers(0, 97, size=(4, 200_000))
+    tracemalloc.start()
+    try:
+        out = linalg._matmul_reduced(a, b, 97)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 2 * linalg.CHUNK_BYTES
+    assert np.array_equal(out, a @ b % 97)
 
 
 def _assert_matches_reference(a, q):

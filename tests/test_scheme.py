@@ -20,6 +20,7 @@ from agsdmm import (
     build_scheme,
     derive_parameters,
     distinct_sums,
+    linalg,
     load_scheme,
     rank,
     read_matrix_csv,
@@ -270,16 +271,19 @@ def _seeded_transcript(params):
     return transcript
 
 
-@pytest.mark.parametrize("params", sorted(SHARE_DIGESTS))
-def test_share_and_response_digests_are_pinned(params):
-    transcript = _seeded_transcript(params)
+def _share_digests(transcript):
     digests = []
     for name in ("a_share", "b_share", "response"):
         h = hashlib.sha256()
         for rec in transcript.records:
             h.update(np.ascontiguousarray(getattr(rec, name), dtype=np.int64).tobytes())
         digests.append(h.hexdigest())
-    assert tuple(digests) == SHARE_DIGESTS[params]
+    return tuple(digests)
+
+
+@pytest.mark.parametrize("params", sorted(SHARE_DIGESTS))
+def test_share_and_response_digests_are_pinned(params):
+    assert _share_digests(_seeded_transcript(params)) == SHARE_DIGESTS[params]
 
 
 # SHA-256 of the JSONL text of _seeded_transcript, place coordinates included;
@@ -291,10 +295,27 @@ TRANSCRIPT_DIGESTS = {
 }
 
 
+def _transcript_digest(transcript):
+    text = "\n".join(transcript.to_jsonl_lines())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("params", sorted(TRANSCRIPT_DIGESTS))
 def test_transcript_digest_is_pinned(params):
-    text = "\n".join(_seeded_transcript(params).to_jsonl_lines())
-    assert hashlib.sha256(text.encode()).hexdigest() == TRANSCRIPT_DIGESTS[params]
+    assert _transcript_digest(_seeded_transcript(params)) == TRANSCRIPT_DIGESTS[params]
+
+
+@pytest.mark.parametrize("params", sorted(set(SHARE_DIGESTS) | set(TRANSCRIPT_DIGESTS)))
+def test_pinned_digests_hold_with_ragged_encode_chunks(params, monkeypatch):
+    # an encode product has N rows and fewer inner terms, so at 32 N bytes it
+    # takes 4 columns per chunk, and the 6 columns of every block of
+    # _seeded_transcript end in a ragged chunk of 2
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", 32 * derive_parameters(*params).n_workers)
+    transcript = _seeded_transcript(params)
+    if params in SHARE_DIGESTS:
+        assert _share_digests(transcript) == SHARE_DIGESTS[params]
+    if params in TRANSCRIPT_DIGESTS:
+        assert _transcript_digest(transcript) == TRANSCRIPT_DIGESTS[params]
 
 
 def test_build_runs_one_elimination(monkeypatch):
@@ -456,6 +477,30 @@ def test_encode_linearity_via_mask_cancellation(inst221):
     rhs = [(u + v) % q for u, v in zip(data_part(a1, seed=2), data_part(a2, seed=3))]
     for u, v in zip(lhs, rhs):
         assert np.array_equal(u, v)
+
+
+@pytest.mark.parametrize("limit,q", [
+    (2**53, 54794149), (2**53, 54794197),      # largest prime below, smallest above
+    (2**63, 1753413037), (2**63, 1753413059),
+])
+def test_encode_matches_reference_at_tier_boundaries(limit, q):
+    # at (2, 2, 1) each side has T = 3 terms (one mask, two blocks), so
+    # T (q-1)^2 lies just on either side of the limit for these primes
+    inst = build_scheme(SchemeParams(2, 2, 1, q=q))
+    rng = np.random.default_rng(q)
+    for side, shape in (("A", (4, 3)), ("B", (3, 4))):
+        coeff, count, axis = inst._sides[side]
+        assert abs(len(coeff) * (q - 1) ** 2 / limit - 1) < 1e-5
+        mat = rng.integers(q - 3, q, size=shape)
+        enc = inst.encode(side, mat, np.random.default_rng(7))
+        blocks = np.split(mat.astype(object), count, axis=axis)
+        mask_rng = np.random.default_rng(7)
+        masks = [mask_rng.integers(0, q, size=blocks[0].shape, dtype=np.int64).astype(object)
+                 for _ in range(inst.poles.x)]
+        terms = masks + blocks
+        for i, share in enumerate(enc.shares):
+            expect = sum(int(c) * t for c, t in zip(coeff[:, i], terms)) % q
+            assert np.array_equal(share, expect.astype(np.int64))
 
 
 def test_encode_validation(inst221):
