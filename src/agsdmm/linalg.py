@@ -4,7 +4,11 @@ Matrices are 2-D numpy integer arrays with entries reduced into [0, q).
 Elimination uses first-nonzero pivoting: over a finite field there is no
 pivot-magnitude concern, so this keeps results deterministic. Products mod q
 run in the cheapest dtype that is still exact for their inner length and q:
-float64 (BLAS), int64, or Python integers.
+float64 (BLAS), int64, or Python integers. Their int64 results, and the
+elimination's and the solves' block updates, are reduced in place as
+x - q (x // q) from FLOOR_REDUCE_MIN entries on, since numpy divides by a
+scalar through libdivide and np.remainder does not; smaller arrays keep
+np.remainder. Operands are reduced only where an entry lies outside [0, q).
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ PANEL_WIDTH = 32
 # float64 bytes of b and of the result per column chunk of a wide product in
 # the float64 tier, which never copies a whole operand or result to float64
 CHUNK_BYTES = 2**20
+# entries from which an in-place reduction takes x - q (x // q) rather than
+# np.remainder; the two cross over at 1-2 K entries
+FLOOR_REDUCE_MIN = 2048
 
 
 class SingularMatrixError(ValueError):
@@ -59,6 +66,19 @@ def _reduced(m, q: int) -> np.ndarray:
     return m
 
 
+def _reduce_in_place(x: np.ndarray, q: int) -> None:
+    # x mod q for an int64 array or view, in place. Exact for entries in
+    # [-2^63 + q, 2^63), where q (x // q) lies in [x - q + 1, x] and cannot
+    # overflow; every kernel result and block update lies well inside. The
+    # temporary is the size of x.
+    if x.size < FLOOR_REDUCE_MIN:
+        np.remainder(x, q, out=x)
+        return
+    t = x // q
+    t *= q
+    x -= t
+
+
 def _matmul_reduced(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Exact (a @ b) mod q for integer operands already reduced into [0, q).
 
@@ -84,13 +104,13 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
             for c0 in range(0, cols, step):
                 chunk = out[:, c0:c0 + step]
                 chunk[:] = a64 @ b[:, c0:c0 + step].astype(np.float64)
-                np.remainder(chunk, q, out=chunk)
+                _reduce_in_place(chunk, q)
             return out
     elif bound < INT64_EXACT:
         out = a @ b
     else:
         return np.asarray((a.astype(object) @ b.astype(object)) % q, dtype=np.int64)
-    np.remainder(out, q, out=out)
+    _reduce_in_place(out, q)
     return out
 
 
@@ -146,7 +166,7 @@ def _eliminate(a: np.ndarray, q: int) -> tuple[list[int], list[int]]:
             a[r + 1:, c] = factors
             trail = a[r + 1:, c + 1:j1]
             trail -= factors[:, None] * a[r, c + 1:j1]
-            trail %= q
+            _reduce_in_place(trail, q)
         r1 = len(cols)
         if r1 == r0 or r1 == k or j1 == n:
             continue
@@ -156,7 +176,7 @@ def _eliminate(a: np.ndarray, q: int) -> tuple[list[int], list[int]]:
         u[:] = _matmul_reduced(_unit_lower_inverse(a[r0:r1, pivots], q), u, q)
         below = a[r1:, j1:]
         below -= _matmul_reduced(a[r1:, pivots], u, q)
-        below %= q
+        _reduce_in_place(below, q)
     return cols, perm
 
 
@@ -204,14 +224,14 @@ class LUFactorization:
             block = x[i0:i1]
             if i0:
                 block -= _matmul_reduced(lu[i0:i1, :i0], x[:i0], q)
-                block %= q
+                _reduce_in_place(block, q)
             block[:] = _matmul_reduced(_unit_lower_inverse(lu[i0:i1, i0:i1], q), block, q)
         for i1 in range(n, 0, -PANEL_WIDTH):
             i0 = max(i1 - PANEL_WIDTH, 0)
             block = x[i0:i1]
             if i1 < n:
                 block -= _matmul_reduced(lu[i0:i1, i1:], x[i1:], q)
-                block %= q
+                _reduce_in_place(block, q)
             upper = _upper_inverse(lu[i0:i1, i0:i1], self._diag_inv[i0:i1], q)
             block[:] = _matmul_reduced(upper, block, q)
         return x

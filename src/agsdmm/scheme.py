@@ -278,7 +278,7 @@ class SchemeInstance:
         if side not in self._sides:
             raise ValueError(f"side must be 'A' or 'B', got {side!r}")
         q = self.q
-        mat = np.asarray(matrix, dtype=np.int64) % q
+        mat = linalg._reduced(matrix, q)
         if mat.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {mat.shape}")
         coeff, count, axis = self._sides[side]
@@ -310,7 +310,7 @@ class SchemeInstance:
         stacked = np.stack([np.asarray(r, dtype=np.int64) for r in responses])
         if stacked.ndim != 3:
             raise ValueError(f"responses must be 2-D matrices, got shape {stacked.shape[1:]}")
-        np.remainder(stacked, self.q, out=stacked)
+        stacked = linalg._reduced(stacked, self.q)
         n, br, bc = stacked.shape
         blocks = linalg._matmul_reduced(self._decoder, stacked.reshape(n, br * bc), self.q)
         # the decoder's rows run over (phi block, gamma block), so B's blocks
@@ -425,7 +425,7 @@ def write_matrix_csv(path, matrix, q: int) -> None:
     if mat.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {mat.shape}")
     lines = [f"{mat.shape[0]},{mat.shape[1]},{q}"]
-    lines.extend(",".join(str(int(v)) for v in row) for row in mat)
+    lines.extend(",".join(map(str, row)) for row in mat.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -242,11 +242,13 @@ def test_matmul_mod_reduces_only_out_of_range_operands():
     b = a.copy()
     assert np.array_equal(matmul_mod(a, b, q), a @ b % q)
     assert np.array_equal(a, b)  # a reduced operand is used as is, never written
-    for edge in (q, -1, -q):  # one entry just outside [0, q) forces the remainder
+    # one entry outside [0, q) forces the exact remainder, also at the int64
+    # extremes, where the floor-division reduction of results would not be exact
+    for edge in (q, -1, -q, -2**63, 2**63 - 1):
         c = a.copy()
         c[1, 1] = edge
-        assert np.array_equal(matmul_mod(c, a, q), c @ a % q)
-        assert np.array_equal(matmul_mod(a, c, q), a @ c % q)
+        assert np.array_equal(matmul_mod(c, a, q), _exact(c) @ _exact(a) % q)
+        assert np.array_equal(matmul_mod(a, c, q), _exact(a) @ _exact(c) % q)
     assert matmul_mod(np.zeros((0, 2), dtype=np.int64), a, q).shape == (0, 2)
 
 
@@ -301,6 +303,36 @@ def test_matmul_reduced_never_copies_a_wide_operand_to_float64():
         tracemalloc.stop()
     assert peak < out.nbytes + 2 * linalg.CHUNK_BYTES
     assert np.array_equal(out, a @ b % 97)
+
+
+@st.composite
+def _column_chunks(draw):
+    # a strided column chunk of a wider int64 matrix, with the chunk's size on
+    # either side of FLOOR_REDUCE_MIN, filled across [-2^63 + q, 2^63) with
+    # drawn entries (multiples of q and the range's ends among them) on top
+    q = draw(st.sampled_from(TIER_PRIMES))
+    rows = draw(st.integers(1, 8))
+    cut = linalg.FLOOR_REDUCE_MIN
+    width = draw(st.sampled_from([1, (cut - 1) // rows, -(-cut // rows), 3 * cut // rows]))
+    lo, hi = -2**63 + q, 2**63 - 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    full = rng.integers(lo, hi, size=(rows, width + 3), dtype=np.int64, endpoint=True)
+    edges = st.sampled_from([lo, hi, -q, -1, 0, q - 1, q, q * (hi // q), q * -(-lo // q)])
+    for value in draw(st.lists(st.one_of(edges, st.integers(lo, hi)), max_size=12)):
+        full[rng.integers(rows), rng.integers(1, width + 1)] = value
+    return full, q
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_column_chunks())
+def test_reduce_in_place_matches_python_mod(case):
+    full, q = case
+    before = full.copy()
+    chunk = full[:, 1:-2]
+    linalg._reduce_in_place(chunk, q)
+    assert chunk.tolist() == [[v % q for v in row] for row in before[:, 1:-2].tolist()]
+    # the columns around the chunk are not written
+    assert np.array_equal(full[:, [0, -2, -1]], before[:, [0, -2, -1]])
 
 
 def _assert_matches_reference(a, q):

@@ -503,6 +503,33 @@ def test_encode_matches_reference_at_tier_boundaries(limit, q):
             assert np.array_equal(share, expect.astype(np.int64))
 
 
+def test_encode_reduces_unreduced_input(inst432):
+    # negative entries, entries >= q and the int64 extremes give the shares of
+    # the reduced matrix under the same rng
+    q = inst432.q
+    rng = np.random.default_rng(23)
+    for side, shape in (("A", (8, 6)), ("B", (6, 9))):
+        reduced = rng.integers(0, q, size=shape)
+        unreduced = reduced + q * rng.integers(-5, 6, size=shape)
+        unreduced[0, :3] = -2**63, 2**63 - 1, -q
+        reduced[0, :3] = -2**63 % q, (2**63 - 1) % q, 0
+        assert (unreduced < 0).any() and (unreduced >= q).any()
+        got = inst432.encode(side, unreduced, np.random.default_rng(4))
+        expect = inst432.encode(side, reduced, np.random.default_rng(4))
+        for u, v in zip(got.shares, expect.shares, strict=True):
+            assert np.array_equal(u, v)
+
+
+def test_encode_leaves_the_caller_array_unchanged(inst432):
+    # an in-range int64 matrix is encoded from the caller's own array, without
+    # a copy, so encode must not write it; an unreduced one is reduced in a copy
+    rng = np.random.default_rng(29)
+    for mat in (rng.integers(0, inst432.q, size=(8, 6)), rng.integers(-99, 99, size=(8, 6))):
+        before = mat.copy()
+        inst432.encode("A", mat, rng)
+        assert np.array_equal(mat, before)
+
+
 def test_encode_validation(inst221):
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
@@ -643,6 +670,11 @@ def test_matrix_csv_roundtrip(tmp_path):
         assert got.dtype == np.int64 and got.shape == shape
         assert np.array_equal(got, mat % 7)
         assert path.read_text().splitlines()[0] == f"{shape[0]},{shape[1]},7"
+    # the exact bytes, also for shapes without entries: one line per row
+    for shape, text in (((2, 3), "2,3,7\n0,1,2\n3,4,5\n"), ((0, 3), "0,3,7\n"),
+                        ((3, 0), "3,0,7\n\n\n\n")):
+        write_matrix_csv(path, np.arange(math.prod(shape)).reshape(shape) - 7, 7)
+        assert path.read_bytes() == text.encode()
 
 
 def test_matrix_csv_errors(tmp_path):
