@@ -291,18 +291,20 @@ def test_matmul_reduced_never_copies_a_wide_operand_to_float64():
     # numpy reports its buffers to tracemalloc: past the int64 result, a wide
     # float64-tier product holds one column chunk of b and one of the result
     # in float64, not float64 copies of the whole of b (6.4 MB) and of the
-    # result (12.8 MB)
+    # result (12.8 MB); in both tiers the reduction's temporary is one chunk,
+    # not the size of the result
     rng = np.random.default_rng(0)
-    a = rng.integers(0, 97, size=(8, 4))
-    b = rng.integers(0, 97, size=(4, 200_000))
-    tracemalloc.start()
-    try:
-        out = linalg._matmul_reduced(a, b, 97)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < out.nbytes + 2 * linalg.CHUNK_BYTES
-    assert np.array_equal(out, a @ b % 97)
+    for q in (97, 134217689):  # the float64 and the int64 tier
+        a = rng.integers(0, q, size=(8, 4))
+        b = rng.integers(0, q, size=(4, 200_000))
+        tracemalloc.start()
+        try:
+            out = linalg._matmul_reduced(a, b, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 2 * linalg.CHUNK_BYTES
+        assert np.array_equal(out, a @ b % q)
 
 
 @st.composite
