@@ -243,7 +243,7 @@ def test_matmul_mod_reduces_only_out_of_range_operands():
     assert np.array_equal(matmul_mod(a, b, q), a @ b % q)
     assert np.array_equal(a, b)  # a reduced operand is used as is, never written
     # one entry outside [0, q) forces the exact remainder, also at the int64
-    # extremes, where the floor-division reduction of results would not be exact
+    # extremes, which lie outside the floor-division reduction's stated range
     for edge in (q, -1, -q, -2**63, 2**63 - 1):
         c = a.copy()
         c[1, 1] = edge
