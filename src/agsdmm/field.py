@@ -1,8 +1,8 @@
-"""Odd prime fields: primality, residue tests and square roots.
+"""Odd prime fields: primality and square roots.
 
 A field value is a plain Python int in [0, q), and a vector of them an int64
-numpy array; PrimeField validates q and answers the questions about squares
-that the place scan asks. Arithmetic is ordinary integer arithmetic mod q.
+numpy array; PrimeField validates q and takes the square roots that give the
+places their y-coordinates. Arithmetic is ordinary integer arithmetic mod q.
 """
 
 from __future__ import annotations
@@ -47,23 +47,10 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.q})"
 
-    def is_square(self, a: int) -> bool:
-        """True iff a is a square in the field; zero counts as a square."""
-        v = int(a) % self.q
-        if v == 0:
-            return True
-        return pow(v, (self.q - 1) // 2, self.q) == 1
-
-    def sqrt(self, a: int) -> tuple[int, ...] | None:
-        """Both square roots of a, ascending, (0,) for zero, or None if a is a non-residue."""
-        if not self.is_square(a):
-            return None
-        return self.square_roots(a)
-
     def square_roots(self, a: int) -> tuple[int, ...]:
-        """sqrt for an a already known to be zero or a square, without the residue test.
+        """Both square roots of a, ascending, or (0,) for zero.
 
-        Raises ValueError if a turns out not to be a square.
+        Raises ValueError if a is not a square.
         """
         v = int(a) % self.q
         if v == 0:

@@ -1,7 +1,7 @@
-"""Hyperelliptic function fields y^2 = f(x) over odd prime fields.
+"""The hyperelliptic curve y^2 = f(x) = x(x - 1)...(x - (d - 1)) over an odd prime field.
 
-A curve here is determined by a squarefree f(x) = (x - a_1)...(x - a_d) with
-d odd, split over the base field. The key facts used throughout:
+The scheme builds one curve per odd degree d <= q: f is squarefree and split
+over F_q, with the roots 0, 1, ..., d - 1. The key facts used throughout:
 
   * genus g = (d - 1) / 2,
   * x has a double pole and y a pole of order d at the single point at
@@ -14,9 +14,7 @@ d odd, split over the base field. The key facts used throughout:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,16 +41,17 @@ def _euler(v: np.ndarray, q: int) -> np.ndarray:
 
 
 def scan_run_x(q: int, d: int, limit: int | None = None) -> np.ndarray:
-    """HyperellipticCurve.scan_x for the roots 0, 1, ..., d - 1, without building the curve.
+    """The x in 0, 1, 2, ... at which y^2 = x(x - 1)...(x - (d - 1)) has a point over F_q.
 
-    f(x) = x(x - 1)...(x - (d - 1)) is zero for x < d. For x >= d it is the
-    product of the d nonzero residues x - d + 1, ..., x, and the Legendre
-    symbol is multiplicative, so f(x) is a square iff that window holds an
-    even number of non-residues. One Euler pass over the residues the scan
-    reaches and a running count of the non-residues among them decide every x;
-    no f(x) is computed. Each chunk of SCAN_CHUNK residues carries the count's
-    parity at the d residues before it, so memory stays O(SCAN_CHUNK + d)
-    whatever q is.
+    Stops after limit such x, or scans all of F_q when limit is None, and
+    returns them as an int64 array; no curve is built. f(x) is zero for x < d.
+    For x >= d it is the product of the d nonzero residues x - d + 1, ..., x,
+    and the Legendre symbol is multiplicative, so f(x) is a square iff that
+    window holds an even number of non-residues. One Euler pass over the
+    residues the scan reaches and a running count of the non-residues among
+    them decide every x; no f(x) is computed. Each chunk of SCAN_CHUNK residues
+    carries the count's parity at the d residues before it, so memory stays
+    O(SCAN_CHUNK + d) whatever q is.
     """
     if not 1 <= d <= q:
         raise ValueError(f"need 1 <= d <= q for the roots 0, ..., d - 1, got d={d}, q={q}")
@@ -88,22 +87,6 @@ class Monomial:
     def pole_number(self, d: int) -> int:
         return 2 * self.a + d * self.b
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        # closed only while the product stays in y-degree <= 1
-        if self.b and other.b:
-            raise ValueError("product leaves the canonical form (needs y^2 reduction)")
-        return Monomial(self.a + other.a, self.b + other.b)
-
-    def __str__(self):
-        parts = []
-        if self.a == 1:
-            parts.append("x")
-        elif self.a > 1:
-            parts.append(f"x^{self.a}")
-        if self.b:
-            parts.append("y")
-        return " ".join(parts) if parts else "1"
-
 
 class WeierstrassSemigroup:
     """Pole orders at the point at infinity: the semigroup generated by 2 and d."""
@@ -123,55 +106,27 @@ class WeierstrassSemigroup:
     def is_pole_number(self, w: int) -> bool:
         return w >= 0 and (w % 2 == 0 or w >= self.d)
 
-    def __contains__(self, w: int) -> bool:
-        return self.is_pole_number(w)
-
     def __repr__(self):
         return f"WeierstrassSemigroup(2, {self.d})"
 
 
 @dataclass(frozen=True)
 class Place:
-    """A rational place: an affine point (x, y) with y^2 = f(x), or the point at infinity."""
+    """A rational affine place: the point (x, y) with y^2 = f(x)."""
 
-    x: int | None
-    y: int | None
-
-    @classmethod
-    def at_infinity(cls) -> "Place":
-        return cls(None, None)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.x is None
-
-    def coords(self) -> tuple[int, int]:
-        if self.is_infinity:
-            raise ValueError("the place at infinity has no affine coordinates")
-        return (self.x, self.y)
+    x: int
+    y: int
 
 
 class HyperellipticCurve:
-    """The curve y^2 = f(x) with f squarefree of odd degree, split over F_q."""
+    """The curve y^2 = x(x - 1)...(x - (d - 1)) over F_q, for an odd d <= q."""
 
-    def __init__(self, field: PrimeField, roots):
+    def __init__(self, field: PrimeField, d: int):
+        if d % 2 == 0 or not 1 <= d <= field.q:
+            raise ValueError(f"d must be odd and lie in [1, q = {field.q}], got {d}")
         self.field = field
-        self.roots = tuple(int(r) % field.q for r in roots)
-        if len(self.roots) % 2 == 0:
-            raise ValueError(f"f must have odd degree, got {len(self.roots)} roots")
-        if len(set(self.roots)) != len(self.roots):
-            raise ValueError("roots must be pairwise distinct (f must be squarefree)")
-        self.d = len(self.roots)
-
-    @cached_property
-    def f_coeffs(self) -> tuple[int, ...]:
-        """Ascending coefficients of the monic f(x) = prod (x - r)."""
-        q = self.field.q
-        coeffs = [1]
-        for r in self.roots:
-            # c(x) * (x - r): coefficient i is c[i-1] - r * c[i]
-            coeffs = [(lo - r * hi) % q for lo, hi in zip([0] + coeffs, coeffs + [0])]
-        return tuple(coeffs)
+        self.d = d
+        self.roots = tuple(range(d))
 
     @property
     def genus(self) -> int:
@@ -179,21 +134,6 @@ class HyperellipticCurve:
 
     def semigroup(self) -> WeierstrassSemigroup:
         return WeierstrassSemigroup(self.d)
-
-    def f_at(self, x: int) -> int:
-        q, x = self.field.q, int(x)
-        v = 1
-        for r in self.roots:
-            v = v * (x - r) % q
-        return v
-
-    def affine_place(self, x: int, y: int) -> Place:
-        """Validated affine place; raises if (x, y) is not on the curve."""
-        q = self.field.q
-        x, y = int(x) % q, int(y) % q
-        if y * y % q != self.f_at(x):
-            raise ValueError(f"({x}, {y}) does not satisfy y^2 = f(x)")
-        return Place(x, y)
 
     def monomial_for_pole_number(self, w: int) -> Monomial:
         """The unique canonical monomial with pole order w at infinity."""
@@ -203,23 +143,6 @@ class HyperellipticCurve:
             return Monomial(w // 2, 0)
         return Monomial((w - self.d) // 2, 1)
 
-    def riemann_roch_basis(self, k: int) -> list[Monomial]:
-        """Canonical monomials with pole order <= k, sorted by pole order."""
-        sg = self.semigroup()
-        return [
-            self.monomial_for_pole_number(w) for w in range(max(k, -1) + 1)
-            if sg.is_pole_number(w)
-        ]
-
-    def evaluate(self, mono: Monomial, place: Place) -> int:
-        if place.is_infinity:
-            raise ValueError("cannot evaluate at the place at infinity (it is the pole)")
-        q = self.field.q
-        v = pow(place.x, mono.a, q)
-        if mono.b:
-            v = v * place.y % q
-        return v
-
     def evaluation_matrix(self, pole_orders, places) -> np.ndarray:
         """M[t, i] = value at places[i] of the monomial with pole order pole_orders[t].
 
@@ -227,8 +150,6 @@ class HyperellipticCurve:
         monomial has it; products stay below q^2 < 2^62, so int64 is exact.
         """
         monos = [self.monomial_for_pole_number(w) for w in pole_orders]
-        if any(p.is_infinity for p in places):
-            raise ValueError("cannot evaluate at the place at infinity (it is the pole)")
         q = self.field.q
         xs = np.array([p.x for p in places], dtype=np.int64)
         ys = np.array([p.y for p in places], dtype=np.int64)
@@ -252,49 +173,16 @@ class HyperellipticCurve:
             f %= q
         return f
 
-    def scan_x(self, limit: int | None = None) -> np.ndarray:
-        """The x in 0, 1, 2, ... at which the curve has a point: f(x) zero or a square.
-
-        Stops after limit such x, or scans all of F_q when limit is None, and
-        returns them as an int64 array. When the roots are 0, ..., d - 1 this is
-        scan_run_x, a Legendre-symbol window that evaluates no f(x). Any other
-        roots take the general path: f(x) by f_values and Euler's criterion,
-        both on chunks of SCAN_CHUNK x. Callers that need y compute f_values at
-        the returned x only.
-        """
-        q = self.field.q
-        # d distinct residues whose largest is d - 1 are exactly 0, ..., d - 1
-        if max(self.roots) == self.d - 1:
-            return scan_run_x(q, self.d, limit)
-        want = q if limit is None else limit
-        xs, found = [], 0
-        for start in range(0, q, SCAN_CHUNK):
-            x = np.arange(start, min(start + SCAN_CHUNK, q), dtype=np.int64)
-            xs.append(x[_euler(self.f_values(x), q) != q - 1])
-            found += len(xs[-1])
-            if found >= want:
-                break
-        return np.concatenate(xs)[:want]
-
-    def _scanned(self, limit: int | None) -> Iterator[tuple[int, int]]:
-        # (x, f(x)) for the x that scan_x returns, as Python ints
-        xs = self.scan_x(limit)
-        return zip(xs.tolist(), self.f_values(xs).tolist())
-
-    def enumerate_places(self) -> list[Place]:
-        """All rational places: affine points sorted by (x, y), then infinity."""
-        square_roots = self.field.square_roots
-        places = [Place(a, y) for a, fa in self._scanned(None) for y in square_roots(fa)]
-        places.append(Place.at_infinity())
-        return places
-
     def select_distinct_x_places(self, limit: int | None = None) -> list[Place]:
-        """One affine place per x-coordinate that carries a point (smallest y kept).
+        """One place per x-coordinate that carries a point (smallest y kept).
 
-        Only the first limit such x-coordinates are taken when limit is given.
+        The x are scan_run_x's, so only the first limit of them are taken when
+        limit is given; f and its square roots are computed at those x only.
         """
+        xs = scan_run_x(self.field.q, self.d, limit)
         square_roots = self.field.square_roots
-        return [Place(a, square_roots(fa)[0]) for a, fa in self._scanned(limit)]
+        return [Place(a, square_roots(fa)[0])
+                for a, fa in zip(xs.tolist(), self.f_values(xs).tolist())]
 
     def __repr__(self):
         return f"HyperellipticCurve(q={self.field.q}, d={self.d}, genus={self.genus})"

@@ -255,17 +255,17 @@ def _upper_inverse(upper: np.ndarray, diag_inv: np.ndarray, q: int) -> np.ndarra
     return inv
 
 
-def all_square_submatrices_invertible(rows, q: int, cap: int = SUBMATRIX_CHECK_CAP) -> bool:
+def all_square_submatrices_invertible(rows, q: int) -> bool:
     """Exhaustively check that every X x X column submatrix of an X x N matrix is invertible."""
     m = as_matrix(rows, q)
     x, n_cols = m.shape
     if x > n_cols:
         raise ValueError(f"row count {x} exceeds column count {n_cols}")
     total = math.comb(n_cols, x)
-    if total > cap:
+    if total > SUBMATRIX_CHECK_CAP:
         raise ValueError(
-            f"{total} submatrices to check exceeds the cap {cap}; "
-            "raise the cap explicitly if this is intended"
+            f"{total} submatrices to check exceeds the cap {SUBMATRIX_CHECK_CAP}; "
+            "the check is exhaustive and meant for small matrices"
         )
     for cols in combinations(range(n_cols), x):
         if rank(m[:, cols], q) < x:

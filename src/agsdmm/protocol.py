@@ -9,7 +9,6 @@ views can be extracted after the fact.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -21,7 +20,6 @@ from .field import PrimeField
 from .function_field import HyperellipticCurve, Place
 from .scheme import SchemeInstance, derive_parameters
 
-AUDIT_SUBSET_CAP = 10_000
 AUDIT_STATE_CAP = 2_000_000
 
 
@@ -147,7 +145,6 @@ class SecrecyAuditReport:
     place_xs: list[int]
     mask_generator: list[list[int]]
     subsets: list[tuple[int, ...]]
-    subsets_exhaustive: bool
     plaintext_count: int
     randomness_count: int
     views_uniform: bool
@@ -156,10 +153,9 @@ class SecrecyAuditReport:
 
     def summary_lines(self) -> list[str]:
         status = "PASS" if self.passed else f"FAIL ({self.failure})"
-        scope = "all" if self.subsets_exhaustive else f"first {len(self.subsets)} (lex order)"
         return [
             f"secrecy audit for m={self.m} n={self.n} x={self.x} q={self.q}: {status}",
-            f"  workers audited: {self.n_workers}; collusion subsets: {scope}",
+            f"  workers audited: {self.n_workers}; collusion subsets: all",
             f"  plaintext pairs: {self.plaintext_count}; mask assignments each: {self.randomness_count}",
             f"  colluder views uniform: {self.views_uniform}",
         ]
@@ -170,8 +166,6 @@ def empirical_secrecy_audit(
     n: int,
     x: int,
     q: int,
-    subset_cap: int = AUDIT_SUBSET_CAP,
-    state_cap: int = AUDIT_STATE_CAP,
 ) -> SecrecyAuditReport:
     """Prove perfect secrecy at tiny scale by exact distribution comparison.
 
@@ -191,12 +185,12 @@ def empirical_secrecy_audit(
     if q <= poles.d:
         raise ValueError(f"field order {q} too small for curve degree d={poles.d}")
     state = q ** (m + n + 2 * x)
-    if state > state_cap:
+    if state > AUDIT_STATE_CAP:
         raise ValueError(
-            f"state space {state} exceeds the cap {state_cap}; use smaller parameters"
+            f"state space {state} exceeds the cap {AUDIT_STATE_CAP}; use smaller parameters"
         )
 
-    curve = HyperellipticCurve(field, range(poles.d))
+    curve = HyperellipticCurve(field, poles.d)
     places = curve.select_distinct_x_places()
     n_aud = len(places)
     if n_aud < x:
@@ -204,13 +198,7 @@ def empirical_secrecy_audit(
 
     a_eval, b_eval = (curve.evaluation_matrix(poles.sides[side][0], places) for side in "AB")
 
-    all_subsets = math.comb(n_aud, x)
-    exhaustive = all_subsets <= subset_cap
-    subsets = []
-    for i, sub in enumerate(combinations(range(n_aud), x)):
-        if i >= subset_cap:
-            break
-        subsets.append(sub)
+    subsets = list(combinations(range(n_aud), x))
 
     def share_vectors(data, eval_rows):
         # every mask assignment applied to one fixed plaintext vector
@@ -252,7 +240,6 @@ def empirical_secrecy_audit(
         # both sides share the x mask functions 1, x, ..., x^(x-1)
         mask_generator=a_eval[:x].tolist(),
         subsets=subsets,
-        subsets_exhaustive=exhaustive,
         plaintext_count=len(plaintexts),
         randomness_count=q ** (2 * x),
         views_uniform=views_uniform,

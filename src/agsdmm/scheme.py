@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -243,7 +242,6 @@ class SchemeInstance:
         self.poles = poles
         self.curve = curve
         self.q = q = curve.field.q
-        self.candidate_places = candidate_places
 
         # one elimination of the basis evaluated at the candidate places picks
         # the information set and factors its square submatrix S = V^T
@@ -251,9 +249,8 @@ class SchemeInstance:
         information_set = linalg.LUFactorization(evals, q)
         self.column_indices = information_set.columns
         self.places = [candidate_places[c] for c in self.column_indices]
-        # V[i][t] = basis_t(P_i), invertible because the places form an information set
+        # S[t][i] = V[i][t] = basis_t(P_i), invertible because the places form an information set
         s_matrix = evals[:, self.column_indices]
-        self.v_matrix = s_matrix.T.copy()
         # decoder rows: the coefficients of the recovery poles, in (j, j')
         # row-major order; rows of V^-1 are columns of S^-1
         index = {w: t for t, w in enumerate(poles.distinct_poles)}
@@ -328,13 +325,6 @@ class SchemeInstance:
             raise ValueError(f"side must be 'A' or 'B', got {side!r}")
         return self._sides[side][0][: self.poles.x].copy()
 
-    def star_product_dimension(self) -> int:
-        """Rank of all pairwise products of the two sides' codeword generators."""
-        fa = self.curve.evaluation_matrix(self.poles.phi, self.candidate_places)
-        gb = self.curve.evaluation_matrix(self.poles.gamma, self.candidate_places)
-        rows = [fa[j] * gb[jp] % self.q for j, jp in product(range(len(fa)), range(len(gb)))]
-        return linalg.rank(np.array(rows, dtype=np.int64), self.q)
-
     def to_dict(self) -> dict:
         return {
             "m": self.params.m,
@@ -384,7 +374,7 @@ def build_scheme(params: SchemeParams) -> SchemeInstance:
     # a nonzero function of pole order <= code_degree has at most code_degree
     # zeros, so the first code_degree + 1 places already have full rank N, and
     # greedy leftmost pivots pick the same columns from them as from all places
-    curve = HyperellipticCurve(PrimeField(q), range(poles.d))
+    curve = HyperellipticCurve(PrimeField(q), poles.d)
     candidates = curve.select_distinct_x_places(poles.code_degree + 1)
     return SchemeInstance(params, poles, curve, candidates)
 

@@ -190,7 +190,7 @@ def test_audit_failure_exits_2(monkeypatch, capsys):
     failed = SecrecyAuditReport(
         m=2, n=2, x=1, q=5, n_workers=5, place_xs=[0, 1, 2, 3, 4],
         mask_generator=[[1, 1, 1, 1, 1]],
-        subsets=[(0,)], subsets_exhaustive=True, plaintext_count=625,
+        subsets=[(0,)], plaintext_count=625,
         randomness_count=25, views_uniform=False, passed=False,
         failure="synthetic failure for exit-code coverage",
     )

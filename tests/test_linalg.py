@@ -195,10 +195,11 @@ def test_all_square_submatrices_invertible_examples():
     assert not all_square_submatrices_invertible(repeated, 5)
 
 
-def test_all_square_submatrices_cap():
+def test_all_square_submatrices_cap(monkeypatch):
     wide = np.ones((2, 50), dtype=int)
-    with pytest.raises(ValueError):
-        all_square_submatrices_invertible(wide, 7, cap=100)
+    monkeypatch.setattr(linalg, "SUBMATRIX_CHECK_CAP", 100)
+    with pytest.raises(ValueError, match="1225 submatrices to check exceeds the cap 100"):
+        all_square_submatrices_invertible(wide, 7)
     with pytest.raises(ValueError):
         all_square_submatrices_invertible(np.ones((3, 2), dtype=int), 7)
 

@@ -15,6 +15,7 @@ from agsdmm import (
     decode_response_pairs,
     empirical_secrecy_audit,
     matmul_mod,
+    protocol,
     run_protocol,
 )
 
@@ -226,7 +227,7 @@ def test_secrecy_audit_2_2_1_q5():
     assert report.mask_generator == [[1, 1, 1, 1, 1]]
     assert report.plaintext_count == 5**4
     assert report.randomness_count == 5**2
-    assert report.subsets_exhaustive and len(report.subsets) == 5
+    assert report.subsets == [(0,), (1,), (2,), (3,), (4,)]
     assert any("PASS" in line for line in report.summary_lines())
 
 
@@ -246,7 +247,7 @@ def test_secrecy_audit_swapped_orientation():
     assert report.plaintext_count == 5**3
 
 
-def test_secrecy_audit_parameter_guards():
+def test_secrecy_audit_parameter_guards(monkeypatch):
     with pytest.raises(ValueError, match="q <= 7"):
         empirical_secrecy_audit(2, 2, 1, 11)
     with pytest.raises(ValueError, match="m\\*n <= 4"):
@@ -255,15 +256,11 @@ def test_secrecy_audit_parameter_guards():
         empirical_secrecy_audit(2, 2, 3, 5)
     with pytest.raises(ValueError, match="too small"):
         empirical_secrecy_audit(2, 2, 2, 5)  # d = 5 needs q > 5
-    with pytest.raises(ValueError, match="state space"):
-        empirical_secrecy_audit(2, 2, 1, 5, state_cap=100)
-
-
-def test_secrecy_audit_subset_cap():
-    report = empirical_secrecy_audit(2, 2, 1, 5, subset_cap=3)
-    assert not report.subsets_exhaustive
-    assert report.subsets == [(0,), (1,), (2,)]
-    assert report.passed
+    with pytest.raises(ValueError, match="state space 40353607 exceeds"):
+        empirical_secrecy_audit(4, 1, 2, 7)  # 7^9 states
+    monkeypatch.setattr(protocol, "AUDIT_STATE_CAP", 100)
+    with pytest.raises(ValueError, match="state space 15625 exceeds the cap 100"):
+        empirical_secrecy_audit(2, 2, 1, 5)
 
 
 def test_readme_quickstart_runs():

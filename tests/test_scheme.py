@@ -29,7 +29,7 @@ from agsdmm import (
     write_matrix_csv,
 )
 from agsdmm.field import is_prime
-from agsdmm.function_field import HyperellipticCurve
+from agsdmm.function_field import HyperellipticCurve, Monomial
 from agsdmm.linalg import LUFactorization
 from agsdmm.scheme import orient
 
@@ -40,6 +40,30 @@ SWEEP = [
     for x in range(1, 5)
     if m * (n - 1) + 2 * x - 1 >= 3
 ]
+
+
+def _candidates(inst):
+    # the code_degree + 1 places the build evaluates the basis at
+    return inst.curve.select_distinct_x_places(inst.poles.code_degree + 1)
+
+
+def _v_matrix(inst):
+    # V[i][t] = basis_t(P_i) at the information-set places
+    return inst.curve.evaluation_matrix(inst.poles.distinct_poles, inst.places).T
+
+
+def _place_count(curve):
+    # rational places: two over each x where f(x) is a nonzero square, one where
+    # f(x) = 0, and the place at infinity
+    f = curve.f_values([p.x for p in curve.select_distinct_x_places()])
+    return 2 * len(f) - int(np.count_nonzero(f == 0)) + 1
+
+
+def _star_product_dimension(inst, places):
+    # rank of all pairwise products of the two sides' codeword generators at places
+    fa = inst.curve.evaluation_matrix(inst.poles.phi, places)
+    gb = inst.curve.evaluation_matrix(inst.poles.gamma, places)
+    return rank((fa[:, None] * gb[None] % inst.q).reshape(-1, len(places)), inst.q)
 
 
 @pytest.fixture(scope="module")
@@ -183,8 +207,10 @@ def test_build_auto_field_2_2_1(inst221):
     assert inst221.q == 17
     assert inst221.n_workers == 8
     assert not inst221.poles.swapped
-    assert len(inst221.candidate_places) >= inst221.poles.code_degree + 1
-    assert rank(inst221.v_matrix, inst221.q) == 8
+    candidates = _candidates(inst221)
+    assert len(candidates) == inst221.poles.code_degree + 1
+    assert inst221.places == [candidates[c] for c in inst221.column_indices]
+    assert rank(_v_matrix(inst221), inst221.q) == 8
     poles = [inst221.curve.monomial_for_pole_number(w).pole_number(inst221.poles.d)
              for w in inst221.poles.distinct_poles]
     assert tuple(poles) == inst221.poles.distinct_poles
@@ -193,7 +219,7 @@ def test_build_auto_field_2_2_1(inst221):
 def test_build_auto_field_4_3_2(inst432):
     assert inst432.q == 47
     assert inst432.n_workers == 24
-    assert rank(inst432.v_matrix, inst432.q) == 24
+    assert rank(_v_matrix(inst432), inst432.q) == 24
 
 
 def test_smallest_admissible_field_search():
@@ -401,13 +427,13 @@ def test_candidate_prefix_gives_the_same_information_set(m, n, x, q):
     # must give the same pivot columns and star-product dimension
     inst = build_scheme(SchemeParams(m, n, x, q=q))
     every = inst.curve.select_distinct_x_places()
-    assert len(inst.candidate_places) == inst.poles.code_degree + 1 < len(every)
-    assert inst.candidate_places == every[:len(inst.candidate_places)]
+    candidates = _candidates(inst)
+    assert len(candidates) == inst.poles.code_degree + 1 < len(every)
+    assert candidates == every[:len(candidates)]
+    assert inst.places == [candidates[c] for c in inst.column_indices]
     evals = inst.curve.evaluation_matrix(inst.poles.distinct_poles, every)
     assert LUFactorization(evals, inst.q).columns == inst.column_indices
-    full = copy.copy(inst)
-    full.candidate_places = every
-    assert full.star_product_dimension() == inst.star_product_dimension()
+    assert _star_product_dimension(inst, every) == _star_product_dimension(inst, candidates)
 
 
 def test_build_with_explicit_field():
@@ -452,12 +478,12 @@ def test_encode_scalar_oracle(inst221):
     enc = inst221.encode("A", a, np.random.default_rng(9))
     mask = np.random.default_rng(9).integers(0, q, size=(1, 1), dtype=np.int64)
     f2, f3 = (curve.monomial_for_pole_number(w) for w in inst221.poles.phi[1:3])
+
+    def evaluate(mono, place):
+        return pow(place.x, mono.a, q) * (place.y if mono.b else 1) % q
+
     for i, place in enumerate(inst221.places):
-        expected = (
-            int(mask[0, 0])
-            + 3 * curve.evaluate(f2, place)
-            + 5 * curve.evaluate(f3, place)
-        ) % q
+        expected = (int(mask[0, 0]) + 3 * evaluate(f2, place) + 5 * evaluate(f3, place)) % q
         assert enc.shares[i][0, 0] == expected
 
 
@@ -595,8 +621,8 @@ def test_decode_validation(inst221):
 
 
 def test_star_product_dimension(inst221, inst432):
-    assert inst221.star_product_dimension() == 8
-    assert inst432.star_product_dimension() == 24
+    assert _star_product_dimension(inst221, _candidates(inst221)) == 8
+    assert _star_product_dimension(inst432, _candidates(inst432)) == 24
 
 
 def test_canonical_monomial_closure(inst432):
@@ -606,7 +632,9 @@ def test_canonical_monomial_closure(inst432):
     monomial = inst432.curve.monomial_for_pole_number
     for wf in inst432.poles.phi:
         for wg in inst432.poles.gamma:
-            prod = monomial(wf) * monomial(wg)
+            mf, mg = monomial(wf), monomial(wg)
+            assert mf.b + mg.b <= 1  # no y^2 to reduce
+            prod = Monomial(mf.a + mg.a, mf.b + mg.b)
             w = wf + wg
             assert prod == monomial(w)
             assert prod.pole_number(d) == w
@@ -640,11 +668,16 @@ def test_scheme_descriptor_roundtrip(tmp_path, inst221):
 def test_scheme_descriptor_tamper_detected(tmp_path, inst221):
     path = tmp_path / "scheme.json"
     save_scheme(inst221, path)
-    data = json.loads(path.read_text())
-    data["places"][0]["x"] = (data["places"][0]["x"] + 1) % 17
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="does not match"):
-        load_scheme(path)
+    saved = json.loads(path.read_text())
+    moved_place = copy.deepcopy(saved)
+    moved_place["places"][0]["x"] = (saved["places"][0]["x"] + 1) % 17
+    # the library builds only the roots 0, ..., d - 1, so the rebuild is the one
+    # guard against a descriptor that names others
+    other_roots = [{**saved, "curve": {"roots": roots}} for roots in ([0, 1, 3], [3, 7, 11])]
+    for data in [moved_place, *other_roots]:
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="does not match"):
+            load_scheme(path)
 
 
 @pytest.mark.parametrize("text,message", [
@@ -710,10 +743,10 @@ def test_matrix_csv_errors(tmp_path):
 def test_built_instance_consistency(m, n, x):
     inst = build_scheme(SchemeParams(m, n, x))
     assert inst.n_workers == len(inst.poles.distinct_poles)
-    assert inst.v_matrix.shape == (inst.n_workers, inst.n_workers)
+    assert _v_matrix(inst).shape == (inst.n_workers, inst.n_workers)
     assert len(inst.places) == inst.n_workers
-    assert len(inst.candidate_places) > inst.poles.code_degree
+    assert max(inst.column_indices) <= inst.poles.code_degree
     # Hasse-Weil check on the chosen curve
-    count = len(inst.curve.enumerate_places())
+    count = _place_count(inst.curve)
     g, q = inst.poles.g, inst.q
     assert abs(count - (q + 1)) <= math.isqrt(4 * g * g * q)
