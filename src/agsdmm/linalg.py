@@ -3,12 +3,16 @@
 Matrices are 2-D numpy integer arrays with entries reduced into [0, q).
 Elimination uses first-nonzero pivoting: over a finite field there is no
 pivot-magnitude concern, so this keeps results deterministic. Products mod q
-run in the cheapest dtype that is still exact for their inner length and q:
-float64 (BLAS), int64, or Python integers. Their int64 results, and the
-elimination's and the solves' block updates, are reduced in place as
-x - q (x // q) from FLOOR_REDUCE_MIN entries on, since numpy divides by a
-scalar through libdivide and np.remainder does not; smaller arrays keep
-np.remainder. Operands are reduced only where an entry lies outside [0, q).
+run in the narrowest dtype that is still exact for their inner length and q:
+float32 or float64 (BLAS), int64, or Python integers. Their results are
+reduced as int32 where every sum lies below 2^31 and the result has at least
+FLOOR_REDUCE_MIN entries, and as int64 otherwise; the output is int64 either
+way. Those reductions, and the elimination's and the solves' block updates,
+run in place as x - q (x // q) from FLOOR_REDUCE_MIN entries on, since numpy
+divides by a scalar through libdivide and np.remainder does not; smaller
+arrays keep np.remainder. Operands are reduced only where an entry lies
+outside [0, q). Input enters through one int64 intake that refuses float,
+complex and out-of-int64 input from its dtype alone.
 """
 
 from __future__ import annotations
@@ -19,16 +23,21 @@ from itertools import combinations
 import numpy as np
 
 SUBMATRIX_CHECK_CAP = 10**6
+# a product's sums below these bounds are exact in float32, int32, float64 and int64
+FLOAT32_EXACT = 2**24
+INT32_EXACT = 2**31
 FLOAT64_EXACT = 2**53
 INT64_EXACT = 2**63
 # columns eliminated per step of the blocked elimination and its triangular solves
 PANEL_WIDTH = 32
-# bytes of b and of the result per column chunk of a wide product in the
-# float64 or int64 tier, which never copies a whole operand or result to
-# float64 nor reduces it through a temporary of its full size
+# bytes of b and of the int64 result per column chunk of a wide product in a
+# BLAS or int64 tier, which never copies a whole operand or result to float
+# nor reduces it through a temporary of its full size
 CHUNK_BYTES = 2**20
 # entries from which an in-place reduction takes x - q (x // q) rather than
-# np.remainder; the two cross over at 1-2 K entries
+# np.remainder, the two cross over at 1-2 K entries, and from which a product
+# is reduced as int32 where that is exact: below it the extra cast costs more
+# than the narrower division saves
 FLOOR_REDUCE_MIN = 2048
 
 
@@ -46,32 +55,45 @@ class SingularMatrixError(ValueError):
 
 def as_matrix(rows, q: int) -> np.ndarray:
     """Copy input into an int64 matrix with entries reduced mod q."""
-    m = np.array(rows, dtype=np.int64)
+    m = _as_int64(rows)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     return m % q
 
 
 def matmul_mod(a, b, q: int) -> np.ndarray:
-    """Exact (a @ b) mod q for integer matrices with entries of any sign or size."""
+    """Exact (a @ b) mod q for integer matrices with int64 entries of any sign."""
     return _matmul_reduced(_reduced(a, q), _reduced(b, q), q)
+
+
+def _as_int64(m) -> np.ndarray:
+    # m as an int64 array, decided from its dtype alone: float, complex,
+    # uint64 and the object arrays numpy makes of Python ints outside int64
+    # are refused rather than cast, since the cast would round or wrap
+    m = np.asarray(m)
+    kind = m.dtype.kind
+    if kind != "i" and (kind not in "bu" or m.dtype == np.uint64):
+        raise ValueError(
+            f"expected integer entries in the int64 range [-2^63, 2^63), got {m.dtype} input")
+    return m.astype(np.int64, copy=False)
 
 
 def _reduced(m, q: int) -> np.ndarray:
     # m as int64 in [0, q); the remainder pass runs only when a check finds an
     # entry outside, as it does not for shares fresh from encode. Read as
     # unsigned, a negative entry is at least 2^63, so one max covers both ends.
-    m = np.asarray(m, dtype=np.int64)
+    m = _as_int64(m)
     if m.size and m.view(np.uint64).max() >= q:
         m = m % q
     return m
 
 
 def _reduce_in_place(x: np.ndarray, q: int) -> None:
-    # x mod q for an int64 array or view, in place. Exact for entries in
-    # [-2^63 + q, 2^63), where q (x // q) lies in [x - q + 1, x] and cannot
-    # overflow; every kernel result and block update lies well inside. The
-    # temporary is the size of x.
+    # x mod q for an int32 or int64 array or view of w bits, in place. Exact
+    # for entries in [-2^(w-1) + q, 2^(w-1)), where q (x // q) lies in
+    # [x - q + 1, x] and cannot overflow: [-2^31 + q, 2^31) for int32 and
+    # [-2^63 + q, 2^63) for int64. Every kernel result and block update lies
+    # well inside its dtype's range. The temporary is the size of x.
     if x.size < FLOOR_REDUCE_MIN:
         np.remainder(x, q, out=x)
         return
@@ -80,36 +102,65 @@ def _reduce_in_place(x: np.ndarray, q: int) -> None:
     x -= t
 
 
-def _matmul_reduced(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Exact (a @ b) mod q for integer operands already reduced into [0, q).
+def _tiers(inner: int, q: int, size: int):
+    """(product dtype, reduction dtype) of a product mod q of this inner length and result size.
 
-    A dot product of length k is at most k (q-1)^2, so float64 BLAS is exact
-    below 2^53 (every partial sum is an integer a double holds exactly) and
-    int64 below 2^63; past that the sum is taken in Python integers. The
-    float64 and int64 tiers take the columns of b CHUNK_BYTES at a time when
-    the product does not fit in one chunk, so the reduction's temporary and
-    any float64 copy stay within one chunk.
+    A dot product of length k is at most k (q-1)^2. Below 2^24 float32 BLAS
+    is exact, below 2^53 float64 BLAS (every partial sum is an integer the
+    float holds exactly), and below 2^63 int64; past that the sums are Python
+    integers, and both dtypes are object. The result is reduced as int32 when
+    that bound is below 2^31 and it has at least FLOOR_REDUCE_MIN entries.
     """
-    rows, inner, cols = a.shape[0], a.shape[-1], b.shape[-1]
     bound = inner * (q - 1) ** 2
     if bound >= INT64_EXACT:
+        return object, object
+    if bound < FLOAT32_EXACT:
+        product = np.float32
+    elif bound < FLOAT64_EXACT:
+        product = np.float64
+    else:
+        product = np.int64
+    narrow = bound < INT32_EXACT and size >= FLOOR_REDUCE_MIN
+    return product, np.int32 if narrow else np.int64
+
+
+def _matmul_reduced(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Exact (a @ b) mod q as int64, for integer operands already reduced into [0, q).
+
+    The product runs in the dtype _tiers picks: float32 or float64 BLAS,
+    int64, or Python integers. Except in Python integers, b's columns are
+    taken CHUNK_BYTES at a time when the product does not fit in one chunk,
+    so the reduction's temporary and any float copy stay within one chunk.
+    An int64 reduction runs in the result's own chunk; an int32 one in an
+    int32 copy of the chunk, which is then stored into the result.
+    """
+    rows, inner, cols = a.shape[0], a.shape[-1], b.shape[-1]
+    dtype, reduce = _tiers(inner, q, rows * cols)
+    if dtype is object:
         return np.asarray((a.astype(object) @ b.astype(object)) % q, dtype=np.int64)
-    # below 2^53 the float64 sums are exact integers, and BLAS computes them;
-    # reducing them as int64 is an order of magnitude faster than np.fmod
-    dtype = np.float64 if bound < FLOAT64_EXACT else np.int64
+    # reducing the exact float sums as integers is an order of magnitude
+    # faster than np.fmod
     a = a.astype(dtype, copy=False)
     step = max(1, CHUNK_BYTES // (8 * max(rows, inner, 1)))
     if cols <= step:
         # the chunk loop would add microseconds to each of the hundreds of
         # small products a run makes
-        out = (a @ b.astype(dtype, copy=False)).astype(np.int64, copy=False)
+        out = (a @ b.astype(dtype, copy=False)).astype(reduce, copy=False)
         _reduce_in_place(out, q)
-        return out
+        return out.astype(np.int64, copy=False)
     out = np.empty((rows, cols), dtype=np.int64)
     for c0 in range(0, cols, step):
         chunk = out[:, c0:c0 + step]
-        chunk[:] = a @ b[:, c0:c0 + step].astype(dtype, copy=False)
-        _reduce_in_place(chunk, q)
+        if reduce is np.int64:
+            # reduced in the result's own view, so no second int64 chunk is held
+            chunk[:] = a @ b[:, c0:c0 + step].astype(dtype, copy=False)
+            _reduce_in_place(chunk, q)
+            continue
+        part = (a @ b[:, c0:c0 + step].astype(dtype, copy=False)).astype(np.int32)
+        _reduce_in_place(part, q)
+        chunk[:] = part
+        # nor is an int32 chunk while the next chunk's product is computed
+        del part
     return out
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import linalg
 from .field import PrimeField
 from .function_field import HyperellipticCurve, Place
 from .scheme import SchemeInstance, derive_parameters
@@ -78,8 +79,8 @@ class CollusionView:
 
 def run_protocol(a, b, instance: SchemeInstance, rng=None):
     """Encode, fan out to all workers, decode; returns (product, transcript)."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    a = linalg._as_int64(a)
+    b = linalg._as_int64(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(f"expected 2-D matrices, got shapes {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:

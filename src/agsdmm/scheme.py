@@ -304,10 +304,9 @@ class SchemeInstance:
         """Recover the full product from all N worker responses."""
         if len(responses) != self.n_workers:
             raise ValueError(f"need all {self.n_workers} responses, got {len(responses)}")
-        stacked = np.stack([np.asarray(r, dtype=np.int64) for r in responses])
+        stacked = linalg._reduced(np.stack(responses), self.q)
         if stacked.ndim != 3:
             raise ValueError(f"responses must be 2-D matrices, got shape {stacked.shape[1:]}")
-        stacked = linalg._reduced(stacked, self.q)
         n, br, bc = stacked.shape
         blocks = linalg._matmul_reduced(self._decoder, stacked.reshape(n, br * bc), self.q)
         # the decoder's rows run over (phi block, gamma block), so B's blocks
@@ -411,7 +410,7 @@ def load_scheme(path) -> SchemeInstance:
 
 def write_matrix_csv(path, matrix, q: int) -> None:
     """Write a matrix as CSV: a rows,cols,q header line, then one line per row."""
-    mat = np.asarray(matrix, dtype=np.int64) % q
+    mat = linalg._as_int64(matrix) % q
     if mat.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {mat.shape}")
     lines = [f"{mat.shape[0]},{mat.shape[1]},{q}"]

@@ -17,8 +17,10 @@ from agsdmm.linalg import PANEL_WIDTH, echelon
 
 # one prime per tier of the products mod q inside the elimination and the
 # triangular solves, whose inner lengths run from 1 to PANEL_WIDTH and beyond:
-# float64 BLAS, int64 (one term already exceeds 2^53), and Python integers
-# (two terms exceed 2^63), which includes the largest supported field
+# float32 BLAS at every inner length (13), float32 up to inner length 16 and
+# float64 BLAS from 17 on (1009; both reduce as int32 where a result is large
+# enough), int64 (one term already exceeds 2^53), and Python integers (two
+# terms exceed 2^63), which includes the largest supported field
 TIER_PRIMES = (13, 1009, 134217689, 2**31 - 1)
 
 
@@ -219,22 +221,71 @@ def test_matmul_mod_bigint_fallback():
     assert np.all(got == expect)
 
 
+# per tier limit: the inner length and column count of its boundary products,
+# and how close to the limit their sums must come. Primes are sparse relative
+# to q^2 at the small q of the two lower limits, so those sums sit further
+# from them; their 2 x 1024 results are large enough to be reduced as int32.
+BOUNDARY_PRODUCTS = {
+    2**24: (7, 1024, 1e-2), 2**31: (17, 1024, 1e-3),
+    2**53: (1001, 3, 1e-5), 2**63: (1001, 3, 1e-5),
+}
+
+
 @pytest.mark.parametrize("limit,q", [
-    (2**53, 2999693), (2**53, 2999707),      # largest prime below, smallest above
+    (2**24, 1549), (2**24, 1553),            # largest prime below, smallest above
+    (2**31, 11239), (2**31, 11243),
+    (2**53, 2999693), (2**53, 2999707),
     (2**63, 95990387), (2**63, 95990429),
 ])
 @pytest.mark.parametrize("offset", [1, 2])
 def test_matmul_mod_tier_boundaries(limit, q, offset):
     # all entries q - offset make every dot product inner * (q - offset)^2, on
     # the same side of the limit for both offsets; the odd sums of offset 2
-    # are the ones float64 would round past 2^53
-    inner = 1001
-    assert abs(inner * (q - offset) ** 2 / limit - 1) < 1e-5
+    # are the ones float32 would round past 2^24, int32 wrap past 2^31 and
+    # float64 round past 2^53
+    inner, cols, near = BOUNDARY_PRODUCTS[limit]
+    assert (inner * (q - 1) ** 2 < limit) == (inner * (q - 2) ** 2 < limit)
+    assert abs(inner * (q - offset) ** 2 / limit - 1) < near
     a = np.full((2, inner), q - offset, dtype=np.int64)
-    b = np.full((inner, 3), q - offset, dtype=np.int64)
+    b = np.full((inner, cols), q - offset, dtype=np.int64)
     got = matmul_mod(a, b, q)
     assert got.dtype == np.int64
     assert np.array_equal(got, (a.astype(object) @ b.astype(object)) % q)
+
+
+def test_matmul_mod_refuses_input_int64_cannot_hold():
+    # refused from the dtype alone: a uint64 2^64 - 1 would wrap to -1 and
+    # give 6 where the product mod 7 is 1, a float would be truncated, and a
+    # Python int past int64 makes an object array
+    one = np.ones((1, 1), dtype=np.int64)
+    cases = [
+        (np.array([[2**64 - 1]], dtype=np.uint64), "uint64"),
+        (np.array([[1]], dtype=np.uint64), "uint64"),
+        ([[2**64]], "object"),
+        ([[-2**63 - 1]], "object"),
+        ([[1.7]], "float64"),
+        (np.array([[1.0]], dtype=np.float32), "float32"),
+        ([[1j]], "complex128"),
+    ]
+    for bad, dtype in cases:
+        message = rf"^expected integer entries in the int64 range \[-2\^63, 2\^63\), got {dtype} input$"
+        with pytest.raises(ValueError, match=message):
+            matmul_mod(bad, one, 7)
+        with pytest.raises(ValueError, match=message):
+            matmul_mod(one, bad, 7)
+        with pytest.raises(ValueError, match=message):
+            rank(bad, 7)
+
+
+def test_matmul_mod_takes_every_integer_dtype_int64_holds():
+    a = [[3, 1], [2, 5]]
+    expect = np.array(a) @ np.array(a) % 7
+    for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32):
+        got = matmul_mod(np.array(a, dtype=dtype), np.array(a, dtype=dtype), 7)
+        assert got.dtype == np.int64 and np.array_equal(got, expect)
+    assert np.array_equal(matmul_mod(a, a, 7), expect)
+    assert np.array_equal(matmul_mod(np.eye(2, dtype=bool), a, 7), np.array(a))
+    assert np.array_equal(matmul_mod([[2**63 - 1]], [[1]], 7), [[(2**63 - 1) % 7]])
 
 
 def test_matmul_mod_reduces_only_out_of_range_operands():
@@ -271,13 +322,17 @@ def test_matmul_mod_reduces_negative_and_unreduced_entries():
 @pytest.mark.parametrize("q", TIER_PRIMES)
 @pytest.mark.parametrize("rows,inner,cols", [
     (4, 3, 10), (4, 3, 12), (1, 40, 7), (0, 3, 10), (4, 0, 10), (4, 3, 0), (0, 0, 0),
+    (6, 3, 343),
 ])
 @pytest.mark.parametrize("chunk_bytes", [None, 96])
 def test_matmul_reduced_in_column_chunks(q, rows, inner, cols, chunk_bytes, monkeypatch):
-    # at 96 bytes a float64 product takes 96 // (8 max(rows, inner)) columns
-    # per chunk: 3 of 10 leaves a ragged chunk of 1, 3 of 12 none, and a
-    # 40-long inner product one column at a time; zero-size operands must
-    # neither divide by zero nor change shape
+    # at 96 bytes a product outside Python integers takes
+    # 96 // (8 max(rows, inner)) columns per chunk, whatever its dtype: 3 of
+    # 10 leaves a ragged chunk of 1, 3 of 12 none, and a 40-long inner product
+    # one column at a time; 6 x 343 has FLOOR_REDUCE_MIN entries or more, so
+    # the two small primes reduce it as int32, 2 columns at a time with a
+    # ragged chunk of 1; zero-size operands must neither divide by zero nor
+    # change shape
     if chunk_bytes is not None:
         monkeypatch.setattr(linalg, "CHUNK_BYTES", chunk_bytes)
     rng = np.random.default_rng(rows * 100 + cols)
@@ -290,14 +345,21 @@ def test_matmul_reduced_in_column_chunks(q, rows, inner, cols, chunk_bytes, monk
 
 def test_matmul_reduced_never_copies_a_wide_operand_to_float64():
     # numpy reports its buffers to tracemalloc: past the int64 result, a wide
-    # float64-tier product holds one column chunk of b and one of the result
-    # in float64, not float64 copies of the whole of b (6.4 MB) and of the
-    # result (12.8 MB); in both tiers the reduction's temporary is one chunk,
-    # not the size of the result
+    # BLAS-tier product holds one column chunk of b and one of the result in
+    # float, not float copies of the whole of b (6.4 MB) and of the result
+    # (12.8 MB); in every tier the reduction's temporary is one chunk, not the
+    # size of the result
     rng = np.random.default_rng(0)
-    for q in (97, 134217689):  # the float64 and the int64 tier
+    tiers = [
+        (97, (np.float32, np.int32)),
+        (2053, (np.float64, np.int32)),
+        (23173, (np.float64, np.int64)),
+        (134217689, (np.int64, np.int64)),
+    ]
+    for q, tier in tiers:
         a = rng.integers(0, q, size=(8, 4))
         b = rng.integers(0, q, size=(4, 200_000))
+        assert linalg._tiers(4, q, a.shape[0] * b.shape[1]) == tier
         tracemalloc.start()
         try:
             out = linalg._matmul_reduced(a, b, q)
@@ -310,17 +372,21 @@ def test_matmul_reduced_never_copies_a_wide_operand_to_float64():
 
 @st.composite
 def _column_chunks(draw):
-    # a strided column chunk of a wider int64 matrix, with the chunk's size on
-    # either side of FLOOR_REDUCE_MIN, filled across [-2^63 + q, 2^63) with
-    # drawn entries (multiples of q and the range's ends among them) on top
+    # a strided column chunk of a wider int32 or int64 matrix of w bits, with
+    # the chunk's size on either side of FLOOR_REDUCE_MIN, filled across
+    # [-2^(w-1) + q, 2^(w-1)) with drawn entries (multiples of q and the
+    # range's ends among them) on top
     q = draw(st.sampled_from(TIER_PRIMES))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
     rows = draw(st.integers(1, 8))
     cut = linalg.FLOOR_REDUCE_MIN
     width = draw(st.sampled_from([1, (cut - 1) // rows, -(-cut // rows), 3 * cut // rows]))
-    lo, hi = -2**63 + q, 2**63 - 1
+    half = 2 ** (np.iinfo(dtype).bits - 1)
+    lo, hi = -half + q, half - 1
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    full = rng.integers(lo, hi, size=(rows, width + 3), dtype=np.int64, endpoint=True)
-    edges = st.sampled_from([lo, hi, -q, -1, 0, q - 1, q, q * (hi // q), q * -(-lo // q)])
+    full = rng.integers(lo, hi, size=(rows, width + 3), dtype=dtype, endpoint=True)
+    edges = st.sampled_from([v for v in (lo, hi, -q, -1, 0, q - 1, q, q * (hi // q), q * -(-lo // q))
+                             if lo <= v <= hi])
     for value in draw(st.lists(st.one_of(edges, st.integers(lo, hi)), max_size=12)):
         full[rng.integers(rows), rng.integers(1, width + 1)] = value
     return full, q
@@ -365,8 +431,9 @@ def test_echelon_matches_unblocked_reference(case):
 @pytest.mark.parametrize("width", [3, PANEL_WIDTH])
 def test_echelon_trailing_update_in_every_tier(q, width, monkeypatch):
     # k = width + 2 rows leave rows below a full panel of pivots, so a panel's
-    # product has inner length width: float64 for the two small primes, int64
-    # for 134217689 and Python integers for 2^31 - 1
+    # product has inner length width: float32 for 13, float32 at width 3 and
+    # float64 at width 32 for 1009, int64 for 134217689 and Python integers
+    # for 2^31 - 1
     inner = []
     product = linalg._matmul_reduced
     monkeypatch.setattr(linalg, "PANEL_WIDTH", width)

@@ -14,6 +14,7 @@ from agsdmm import (
     collude_view,
     decode_response_pairs,
     empirical_secrecy_audit,
+    linalg,
     matmul_mod,
     protocol,
     run_protocol,
@@ -30,6 +31,50 @@ def test_zero_inputs_give_zero_product(inst221):
     b = np.array([[3, 5]])
     result, _ = run_protocol(a, b, inst221, np.random.default_rng(1))
     assert result.shape == (2, 2) and not result.any()
+
+
+def test_run_protocol_refuses_input_int64_cannot_hold(inst221):
+    # 1.7 would be truncated to 1 without a word; float input is refused even
+    # where its values are integers
+    message = r"^expected integer entries in the int64 range \[-2\^63, 2\^63\), got {} input$"
+    with pytest.raises(ValueError, match=message.format("float64")):
+        run_protocol(np.full((2, 2), 1.7), np.eye(2, dtype=int), inst221)
+    with pytest.raises(ValueError, match=message.format("float64")):
+        run_protocol(np.eye(2, dtype=int), np.eye(2), inst221)
+    with pytest.raises(ValueError, match=message.format("object")):
+        run_protocol([[2**64, 1], [1, 1]], np.eye(2, dtype=int), inst221)
+
+
+@pytest.mark.parametrize("m,n,x,shape,q,layers", [
+    # the benchmark's run workloads: worker-bound, cli-oneshot and decode-bound
+    (4, 3, 2, (512, 512, 384), 47,
+     {"encode": (np.float32, np.int32), "workers": (np.float32, np.int32),
+      "decode": (np.float32, np.int32)}),
+    # the 16 x 16 worker products are too small to pay for an int32 reduction
+    (8, 8, 4, (128, 64, 128), 197,
+     {"encode": (np.float32, np.int32), "workers": (np.float32, np.int64),
+      "decode": (np.float32, np.int32)}),
+    # 64 (616)^2 and 329 (616)^2 lie above 2^24, and the 8 x 8 worker products
+    # below FLOOR_REDUCE_MIN entries
+    (14, 14, 10, (112, 64, 112), 617,
+     {"encode": (np.float32, np.int32), "workers": (np.float64, np.int64),
+      "decode": (np.float64, np.int32)}),
+])
+def test_run_layers_take_the_narrowest_exact_tier(m, n, x, shape, q, layers, monkeypatch):
+    # (product dtype, reduction dtype) of every product a run makes, in call
+    # order: encode A, encode B, one per worker, decode
+    inst = build_scheme(SchemeParams(m, n, x))
+    assert inst.q == q
+    taken = []
+    tiers = linalg._tiers
+    monkeypatch.setattr(linalg, "_tiers", lambda *args: taken.append(tiers(*args)) or taken[-1])
+    rng = np.random.default_rng(0)
+    rows, inner, cols = shape
+    a = rng.integers(0, q, size=(rows, inner))
+    b = rng.integers(0, q, size=(inner, cols))
+    product, _ = run_protocol(a, b, inst, rng)
+    assert np.array_equal(product, a @ b % q)
+    assert taken == [layers["encode"]] * 2 + [layers["workers"]] * inst.n_workers + [layers["decode"]]
 
 
 def test_result_matches_plain_product(inst221):

@@ -568,6 +568,30 @@ def test_encode_validation(inst221):
         inst221.encode("A", np.zeros(4, dtype=int), rng)
 
 
+def test_encode_decode_and_csv_refuse_input_int64_cannot_hold(inst221, tmp_path):
+    # float input would be truncated and uint64 or Python ints past int64
+    # would wrap; each is refused from its dtype with one line
+    rng = np.random.default_rng(0)
+    message = r"^expected integer entries in the int64 range \[-2\^63, 2\^63\), got {} input$"
+    with pytest.raises(ValueError, match=message.format("float64")):
+        inst221.encode("A", np.full((4, 2), 1.7), rng)
+    with pytest.raises(ValueError, match=message.format("uint64")):
+        inst221.encode("B", np.ones((2, 4), dtype=np.uint64), rng)
+    responses = inst221.worker_products(inst221.encode("A", np.ones((4, 2), dtype=int), rng),
+                                        inst221.encode("B", np.ones((2, 4), dtype=int), rng))
+    with pytest.raises(ValueError, match=message.format("float64")):
+        inst221.decode([r.astype(float) for r in responses])
+    big = [[2**64] * responses[0].shape[1]] * responses[0].shape[0]
+    with pytest.raises(ValueError, match=message.format("object")):
+        inst221.decode(responses[:-1] + [big])
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match=message.format("float64")):
+        write_matrix_csv(path, np.full((2, 2), 1.7), 7)
+    with pytest.raises(ValueError, match=message.format("object")):
+        write_matrix_csv(path, [[2**64]], 7)
+    assert not path.exists()
+
+
 def _roundtrip(inst, a, b, seed):
     rng = np.random.default_rng(seed)
     enc_a = inst.encode("A", a, rng)
