@@ -2,9 +2,10 @@
 
 Three schemes are compared by their download rate m*n/N:
 
-  * ag       -- this package's construction; the worker count is the exact
-                number of distinct entries in its pole order table, which is
-                at most (3mn + m)/2 + 3x - 2 (with the even side called m),
+  * ag       -- this package's construction; with the even side called m,
+                the worker count is mn + m + 3x - 2 + (n - 1) min(x, m/2),
+                which equals the number of distinct entries in its pole
+                order table and is at most (3mn + m)/2 + 3x - 2,
   * a3s      -- N = (m + x)(n + 1) - 1, best orientation of the two,
   * gasp_big -- the upper bound N <= 2mn + 2x - 1. This stands in for the
                 exact GASP threshold, which needs tables outside this
@@ -22,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .scheme import distinct_sums, orient, pole_sequences, worker_bound
+from .scheme import distinct_sums, orient, worker_bound, worker_count
 
 SWEEP_CAVEAT = (
     "gasp_big is an upper bound, not the exact GASP threshold; "
@@ -36,11 +37,13 @@ class AgWorkerCount(NamedTuple):
 
 
 def workers_ag(m: int, n: int, x: int) -> AgWorkerCount:
-    """Actual worker count of this construction (and its bound), best orientation."""
-    # the pole sequences alone, without the table and checks of derive_parameters
+    """Worker count of this construction and its bound, in the orientation it builds.
+
+    That is orient's: the even partition count encodes through phi, and m when
+    both are even, although the swap can need fewer workers.
+    """
     me, ne, _ = orient(m, n, x)
-    _, phi, gamma = pole_sequences(me, ne, x)
-    return AgWorkerCount(len(distinct_sums(phi, gamma)), worker_bound(me, ne, x))
+    return AgWorkerCount(worker_count(me, ne, x), worker_bound(me, ne, x))
 
 
 def workers_a3s(m: int, n: int, x: int) -> int:

@@ -136,6 +136,24 @@ def worker_bound(m: int, n: int, x: int) -> int:
     return (3 * m * n + m) // 2 + 3 * x - 2
 
 
+def worker_count(m: int, n: int, x: int) -> int:
+    """Worker count for an even m in closed form: mn + m + 3x - 2 + (n - 1) min(x, m/2).
+
+    It is the number of distinct entries of the outer-sum table of phi and
+    gamma from pole_sequences. With E = {0, 2, ..., 2x - 2}, phi is E plus the
+    interval [d, d + m - 1], and gamma is E plus the progression jm + 2x - 2,
+    j = 1..n. The interval's sums with E and with the progression tile
+    [d, 2mn + 4x - 4]; every other sum is even and at most mn + 4x - 4, so
+    inside that interval when at or above d. Below d, E + E is the even
+    numbers up to 4x - 4, and E plus the j-th term, j < n, the x even numbers
+    from jm + 2x - 2 (the last from d - 1): of the (n - 1)m/2 + x even numbers
+    below d they miss max(0, m/2 - x) before each of those n - 1 runs. The
+    count therefore meets worker_bound exactly when x >= m/2 or n = 1.
+    """
+    _curve_degree(m, n, x)
+    return m * n + m + 3 * x - 2 + (n - 1) * min(x, m // 2)
+
+
 def orient(m: int, n: int, x: int) -> tuple[int, int, bool]:
     """(m, n) reordered so that the even partition count comes first, and whether they swapped.
 
@@ -150,8 +168,8 @@ def orient(m: int, n: int, x: int) -> tuple[int, int, bool]:
     raise ValueError(f"at least one of m={m}, n={n} must be even")
 
 
-def pole_sequences(m: int, n: int, x: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Curve degree d and the two pole order sequences for an even-m orientation."""
+def _curve_degree(m: int, n: int, x: int) -> int:
+    """d = m(n - 1) + 2x - 1 for an even m, refusing parameters the construction does not support."""
     if m < 2 or m % 2:
         raise ValueError(f"m must be even and >= 2, got {m} (swap orientation for odd m)")
     if n < 1 or x < 1:
@@ -162,9 +180,13 @@ def pole_sequences(m: int, n: int, x: int) -> tuple[int, tuple[int, ...], tuple[
             f"unsupported parameters (m={m}, n={n}, x={x}): curve degree d={d} < 3 "
             "degenerates to the genus-0 case"
         )
-    # gamma's block orders are j*m + 2x - 2 for j = 1..n. Built from ranges, not
-    # generators: CPython sizes tuple(range) exactly, while tuple(generator)
-    # resizes, and in a long sweep the resized tuples fill its free lists
+    return d
+
+
+def pole_sequences(m: int, n: int, x: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Curve degree d and the two pole order sequences for an even-m orientation."""
+    d = _curve_degree(m, n, x)
+    # gamma's block orders are j*m + 2x - 2 for j = 1..n
     masks = tuple(range(0, 2 * x, 2))
     phi = masks + tuple(range(d, d + m))
     gamma = masks + tuple(range(m + 2 * x - 2, m * n + 2 * x - 1, m))
@@ -197,6 +219,7 @@ def derive_parameters(m: int, n: int, x: int) -> PoleStructure:
             for j in range(m + x) for jp in range(n + x)
             if j < x or jp < x
         ),
+        "worker count equals its closed form": poles.n_workers == worker_count(m, n, x),
         "worker count is within its bound": poles.n_workers <= poles.worker_bound,
     }
     broken = [name for name, holds in guarantees.items() if not holds]

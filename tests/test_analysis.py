@@ -2,11 +2,14 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agsdmm import (
     compare_sweep,
     degree_table_report,
     derive_parameters,
+    distinct_sums,
     format_sweep_csv,
     parse_sweep_csv,
     workers_a3s,
@@ -56,6 +59,44 @@ def test_workers_ag_agrees_with_full_derivation(m, n, x):
     assert counted.workers == poles.n_workers
     assert counted.bound == poles.worker_bound
     assert counted.workers <= counted.bound
+
+
+def _ag_from_table(m, n, x):
+    # the count and bound of a full derivation, None where it refuses the point
+    try:
+        poles = derive_parameters(m, n, x)
+    except ValueError:
+        return None
+    assert poles.n_workers == len(distinct_sums(poles.phi, poles.gamma))
+    return poles.n_workers, poles.worker_bound
+
+
+def _ag_or_none(m, n, x):
+    try:
+        return tuple(workers_ag(m, n, x))
+    except ValueError:
+        return None
+
+
+def test_workers_ag_is_the_table_count_on_the_full_grid():
+    for m in range(1, 21):
+        for n in range(1, 21):
+            for x in range(1, 21):
+                assert _ag_or_none(m, n, x) == _ag_from_table(m, n, x), (m, n, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 200), n=st.integers(1, 200), x=st.integers(1, 200))
+def test_workers_ag_is_the_table_count(m, n, x):
+    assert _ag_or_none(m, n, x) == _ag_from_table(m, n, x)
+
+
+def test_workers_ag_keeps_the_built_orientation():
+    # both partition counts even: phi encodes m, as the build does, even where
+    # the swap would need fewer workers
+    assert workers_ag(10, 2, 5) == (48, 48)
+    assert workers_ag(2, 10, 5) == (44, 44)
+    assert derive_parameters(10, 2, 5).n_workers == 48
 
 
 def test_workers_a3s_examples():

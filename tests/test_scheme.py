@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import agsdmm
 from agsdmm import (
@@ -25,13 +27,14 @@ from agsdmm import (
     rank,
     read_matrix_csv,
     save_scheme,
+    scheme,
     smallest_admissible_field,
     write_matrix_csv,
 )
 from agsdmm.field import is_prime
 from agsdmm.function_field import HyperellipticCurve, Monomial
 from agsdmm.linalg import LUFactorization
-from agsdmm.scheme import orient
+from agsdmm.scheme import orient, pole_sequences, worker_bound, worker_count
 
 SWEEP = [
     (m, n, x)
@@ -139,12 +142,21 @@ def test_structural_checks_survive_python_O():
             print(exc)
         else:
             sys.exit("broken pole structure accepted")
+        # so must sequences whose table count differs from the closed form
+        scheme.pole_sequences = lambda m, n, x: (d, phi[:-1] + (phi[-1] + 2,), gamma)
+        try:
+            derive_parameters(4, 3, 2)
+        except RuntimeError as exc:
+            print(exc)
+        else:
+            sys.exit("table count off its closed form accepted")
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(agsdmm.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert "distinct entries" in out.stdout
+    assert "worker count equals its closed form" in out.stdout
 
 
 def test_resolve_orientation():
@@ -180,6 +192,52 @@ def test_distinct_sums_examples():
     assert len(distinct_sums((0, 1, 2, 9, 12), (0, 3, 6, 9, 10))) == 18
     assert distinct_sums((0,), (0,)) == (0,)
     assert distinct_sums((0, 3, 4), (0, 2, 4)) == (0, 2, 3, 4, 5, 6, 7, 8)
+
+
+# every supported even-m point with m, n, x <= 20
+FULL_GRID = [
+    (m, n, x)
+    for m in range(2, 21, 2)
+    for n in range(1, 21)
+    for x in range(1, 21)
+    if m * (n - 1) + 2 * x - 1 >= 3
+]
+
+
+def _check_worker_count(m, n, x):
+    _, phi, gamma = pole_sequences(m, n, x)
+    count = worker_count(m, n, x)
+    assert count == len(distinct_sums(phi, gamma)) == derive_parameters(m, n, x).n_workers
+    assert count <= worker_bound(m, n, x)
+    assert (count == worker_bound(m, n, x)) == (x >= m // 2 or n == 1)
+
+
+def test_worker_count_is_the_table_count_on_the_full_grid():
+    for point in FULL_GRID:
+        _check_worker_count(*point)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 100).map(lambda h: 2 * h), n=st.integers(1, 200), x=st.integers(1, 200))
+def test_worker_count_is_the_table_count(m, n, x):
+    assume(m * (n - 1) + 2 * x - 1 >= 3)
+    _check_worker_count(m, n, x)
+
+
+@pytest.mark.parametrize("m,n,x", [(3, 2, 1), (1, 4, 2), (0, 2, 1), (-2, 2, 1), (2, 0, 1),
+                                   (2, 2, 0), (2, -1, 3), (2, 1, 1), (4, 1, 1)])
+def test_worker_count_refuses_what_pole_sequences_refuses(m, n, x):
+    with pytest.raises(ValueError) as expected:
+        pole_sequences(m, n, x)
+    with pytest.raises(ValueError) as got:
+        worker_count(m, n, x)
+    assert str(got.value) == str(expected.value)
+
+
+def test_derive_parameters_checks_the_closed_form(monkeypatch):
+    monkeypatch.setattr(scheme, "worker_count", lambda m, n, x: 0)
+    with pytest.raises(RuntimeError, match="breaks: worker count equals its closed form$"):
+        derive_parameters(4, 3, 2)
 
 
 @pytest.mark.parametrize("m,n,x", SWEEP)
