@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .scheme import distinct_sums, orient, worker_bound, worker_count
+from .scheme import _check_positive, distinct_sums, orient, worker_bound, worker_count
 
 SWEEP_CAVEAT = (
     "gasp_big is an upper bound, not the exact GASP threshold; "
@@ -48,15 +48,13 @@ def workers_ag(m: int, n: int, x: int) -> AgWorkerCount:
 
 def workers_a3s(m: int, n: int, x: int) -> int:
     """Worker count (m + x)(n + 1) - 1, minimized over the two orientations."""
-    if m < 1 or n < 1 or x < 1:
-        raise ValueError(f"m, n, x must be positive, got ({m}, {n}, {x})")
+    _check_positive(m, n, x)
     return min((m + x) * (n + 1) - 1, (n + x) * (m + 1) - 1)
 
 
 def workers_gasp_big(m: int, n: int, x: int) -> int:
     """Upper bound 2mn + 2x - 1 on the gap-based polynomial scheme's worker count."""
-    if m < 1 or n < 1 or x < 1:
-        raise ValueError(f"m, n, x must be positive, got ({m}, {n}, {x})")
+    _check_positive(m, n, x)
     return 2 * m * n + 2 * x - 1
 
 

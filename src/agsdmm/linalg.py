@@ -10,14 +10,18 @@ FLOOR_REDUCE_MIN entries, and as int64 otherwise; the output is int64 either
 way. Those reductions, and the elimination's and the solves' block updates,
 run in place as x - q (x // q) from FLOOR_REDUCE_MIN entries on, since numpy
 divides by a scalar through libdivide and np.remainder does not; smaller
-arrays keep np.remainder. Operands are reduced only where an entry lies
-outside [0, q). Input enters through one int64 intake that refuses float,
-complex and out-of-int64 input from its dtype alone.
+arrays keep np.remainder. Every triangular solve, the elimination's and both
+of an LU's, is one blocked lower solve; U is solved with its rows and columns
+reversed. Operands are reduced only where an entry lies outside [0, q). The
+modulus is checked once, at the public entries, to be an integer in
+[2, 2^63); input enters through one int64 intake that refuses float, complex
+and out-of-int64 input from its dtype alone.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from itertools import combinations
 
 import numpy as np
@@ -55,6 +59,7 @@ class SingularMatrixError(ValueError):
 
 def as_matrix(rows, q: int) -> np.ndarray:
     """Copy input into an int64 matrix with entries reduced mod q."""
+    q = _check_modulus(q)
     m = _as_int64(rows)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
@@ -63,7 +68,22 @@ def as_matrix(rows, q: int) -> np.ndarray:
 
 def matmul_mod(a, b, q: int) -> np.ndarray:
     """Exact (a @ b) mod q for integer matrices with int64 entries of any sign."""
+    q = _check_modulus(q)
     return _matmul_reduced(_reduced(a, q), _reduced(b, q), q)
+
+
+def _check_modulus(q) -> int:
+    # q as a Python int in [2, 2^63), whose residues int64 holds; anything
+    # else, a float or a string included, is refused before any arithmetic.
+    # A numpy integer is taken and converted, since pow() refuses it as a
+    # modulus and the tier bound k (q - 1)^2 would overflow in it.
+    try:
+        value = operator.index(q)
+    except TypeError:
+        value = None
+    if value is None or not 2 <= value < INT64_EXACT:
+        raise ValueError(f"field order {q!r} must be an integer in [2, 2^63)")
+    return value
 
 
 def _as_int64(m) -> np.ndarray:
@@ -166,6 +186,7 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
 def rank(rows, q: int) -> int:
     """Rank over F_q by Gaussian elimination."""
+    q = _check_modulus(q)
     return len(_eliminate(as_matrix(rows, q), q)[0])
 
 
@@ -178,6 +199,7 @@ def echelon(rows, q: int) -> tuple[list[int], np.ndarray, np.ndarray]:
     k x r compact factor: unit lower trapezoidal L below its diagonal and the
     r x r upper triangular U on and above it.
     """
+    q = _check_modulus(q)
     a = as_matrix(rows, q)
     cols, perm = _eliminate(a, q)
     return cols, np.array(perm, dtype=np.int64), a[:, cols]
@@ -223,7 +245,7 @@ def _eliminate(a: np.ndarray, q: int) -> tuple[list[int], list[int]]:
         # U12 = L11^-1 A12 on the panel's pivot rows, then A22 -= L21 U12
         pivots = cols[r0:r1]
         u = a[r0:r1, j1:]
-        u[:] = _matmul_reduced(_unit_lower_inverse(a[r0:r1, pivots], q), u, q)
+        _solve_lower(_unit_lower(a[r0:r1, pivots]), u, q)
         below = a[r1:, j1:]
         below -= _matmul_reduced(a[r1:, pivots], u, q)
         _reduce_in_place(below, q)
@@ -242,6 +264,7 @@ class LUFactorization:
     """
 
     def __init__(self, rows, q: int):
+        q = _check_modulus(q)
         cols, perm, lu = echelon(rows, q)
         k = lu.shape[0]
         if len(cols) < k:
@@ -251,15 +274,14 @@ class LUFactorization:
         self.columns = cols
         self._lu = lu
         self._perm = perm
-        self._diag_inv = np.array([pow(int(v), -1, q) for v in np.diagonal(lu)], dtype=np.int64)
 
     def inverse_columns(self, columns) -> np.ndarray:
         """The listed columns of S^-1, in the order given (size x len(columns)).
 
         With P S = L U, the columns X of S^-1 solve S X = E for E the matching
-        columns of the identity: first L Y = P E, then U X = Y. Each solve
-        takes PANEL_WIDTH rows at a time: one product mod q removes the rows
-        already solved, and one more applies the inverse of the diagonal block.
+        columns of the identity: first L Y = P E, then U X = Y. Both are
+        blocked lower solves; U X = Y is one with the rows and columns of U
+        and the rows of X reversed.
         """
         n, q, lu = self.size, self.q, self._lu
         columns = [int(c) for c in columns]
@@ -269,41 +291,56 @@ class LUFactorization:
         where[self._perm] = np.arange(n)
         x = np.zeros((n, len(columns)), dtype=np.int64)
         x[where[columns], np.arange(len(columns))] = 1
-        for i0 in range(0, n, PANEL_WIDTH):
-            i1 = min(i0 + PANEL_WIDTH, n)
-            block = x[i0:i1]
-            if i0:
-                block -= _matmul_reduced(lu[i0:i1, :i0], x[:i0], q)
-                _reduce_in_place(block, q)
-            block[:] = _matmul_reduced(_unit_lower_inverse(lu[i0:i1, i0:i1], q), block, q)
-        for i1 in range(n, 0, -PANEL_WIDTH):
-            i0 = max(i1 - PANEL_WIDTH, 0)
-            block = x[i0:i1]
-            if i1 < n:
-                block -= _matmul_reduced(lu[i0:i1, i1:], x[i1:], q)
-                _reduce_in_place(block, q)
-            upper = _upper_inverse(lu[i0:i1, i0:i1], self._diag_inv[i0:i1], q)
-            block[:] = _matmul_reduced(upper, block, q)
+        _solve_lower(_unit_lower(lu), x, q)
+        _solve_lower(np.triu(lu)[::-1, ::-1], x[::-1], q)
         return x
 
 
-def _unit_lower_inverse(lower: np.ndarray, q: int) -> np.ndarray:
-    """Inverse of the unit lower triangular matrix stored below the diagonal of a square array."""
-    inv = np.eye(lower.shape[0], dtype=np.int64)
-    for i in range(lower.shape[0] - 1):
-        inv[i + 1:] -= lower[i + 1:, i, None] * inv[i]
-        inv[i + 1:] %= q
-    return inv
+def _unit_lower(lu: np.ndarray) -> np.ndarray:
+    # L of a square compact LU: its entries below the diagonal, ones on it;
+    # made inside a call, so that this copy is freed before U's is made
+    lower = np.tril(lu, -1)
+    np.fill_diagonal(lower, 1)
+    return lower
 
 
-def _upper_inverse(upper: np.ndarray, diag_inv: np.ndarray, q: int) -> np.ndarray:
-    """Inverse of the upper triangular matrix on and above the diagonal of a square array."""
-    inv = np.eye(upper.shape[0], dtype=np.int64)
-    for i in reversed(range(upper.shape[0])):
-        inv[i] = inv[i] * diag_inv[i] % q
-        inv[:i] -= upper[:i, i, None] * inv[i]
-        inv[:i] %= q
-    return inv
+def _solve_lower(t: np.ndarray, x: np.ndarray, q: int) -> None:
+    """x <- t^-1 x mod q in place, for t lower triangular with a nonzero diagonal.
+
+    Rows are taken PANEL_WIDTH at a time: one product mod q removes the rows
+    already solved, and one more applies the inverse of the diagonal block.
+    x may be a view, a reversed one included; it is written through.
+    """
+    n = t.shape[0]
+    for i0 in range(0, n, PANEL_WIDTH):
+        i1 = min(i0 + PANEL_WIDTH, n)
+        block = x[i0:i1]
+        if i0:
+            block -= _matmul_reduced(t[i0:i1, :i0], x[:i0], q)
+            _reduce_in_place(block, q)
+        block[:] = _matmul_reduced(_triangular_inverse(t[i0:i1, i0:i1], q), block, q)
+
+
+def _triangular_inverse(t: np.ndarray, q: int) -> np.ndarray:
+    """Inverse mod q of a lower or upper triangular n x n block with a nonzero diagonal.
+
+    With t = D (I - M) for D its diagonal, M is strictly triangular, so M^n = 0
+    and t^-1 = (I + M)(I + M^2)(I + M^4)... D^-1, one factor per 2^j < n:
+    ceil(log2 n) - 1 squarings and as many products. Every entry stays below
+    q^2 < 2^62, so int64 is exact.
+    """
+    n = t.shape[0]
+    diag_inv = np.array([pow(int(v), -1, q) for v in np.diagonal(t)], dtype=np.int64)
+    eye = np.eye(n, dtype=np.int64)
+    power = -(diag_inv[:, None] * t) % q  # M = I - D^-1 t, off the diagonal
+    np.fill_diagonal(power, 0)
+    inv = power + eye
+    span = 2
+    while span < n:
+        power = _matmul_reduced(power, power, q)
+        inv = _matmul_reduced(inv, power + eye, q)
+        span *= 2
+    return inv * diag_inv % q
 
 
 def all_square_submatrices_invertible(rows, q: int) -> bool:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,8 +52,17 @@ class SchemeParams:
 
 
 def _check_positive(m: int, n: int, x: int) -> None:
+    _check_integers(m, n, x)
     if m < 1 or n < 1 or x < 1:
         raise ValueError(f"m, n, x must be positive, got ({m}, {n}, {x})")
+
+
+def _check_integers(m: int, n: int, x: int) -> None:
+    # refuses what operator.index refuses: floats, strings, None
+    try:
+        operator.index(m), operator.index(n), operator.index(x)
+    except TypeError:
+        raise ValueError(f"m, n, x must be integers, got ({m!r}, {n!r}, {x!r})") from None
 
 
 @dataclass(frozen=True)
@@ -170,6 +180,7 @@ def orient(m: int, n: int, x: int) -> tuple[int, int, bool]:
 
 def _curve_degree(m: int, n: int, x: int) -> int:
     """d = m(n - 1) + 2x - 1 for an even m, refusing parameters the construction does not support."""
+    _check_integers(m, n, x)
     if m < 2 or m % 2:
         raise ValueError(f"m must be even and >= 2, got {m} (swap orientation for odd m)")
     if n < 1 or x < 1:
@@ -433,9 +444,7 @@ def load_scheme(path) -> SchemeInstance:
 
 def write_matrix_csv(path, matrix, q: int) -> None:
     """Write a matrix as CSV: a rows,cols,q header line, then one line per row."""
-    mat = linalg._as_int64(matrix) % q
-    if mat.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {mat.shape}")
+    mat = linalg.as_matrix(matrix, q)
     lines = [f"{mat.shape[0]},{mat.shape[1]},{q}"]
     lines.extend(",".join(map(str, row)) for row in mat.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
@@ -450,8 +459,10 @@ def read_matrix_csv(path) -> tuple[np.ndarray, int]:
         rows, cols, q = (int(v) for v in lines[0].split(","))
     except ValueError:
         raise ValueError(f"{path}: malformed header {lines[0]!r}; expected rows,cols,q") from None
-    if not 2 <= q < linalg.INT64_EXACT:
-        raise ValueError(f"{path}: field order {q} in the header must lie in [2, 2^63)")
+    try:
+        linalg._check_modulus(q)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     if min(rows, cols) == 0 and len(lines) == 1:
         # a matrix without entries has no body, or only blank lines
         return np.zeros((rows, cols), dtype=np.int64), q

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,16 @@ def test_workers_gasp_big_examples():
     assert workers_gasp_big(4, 3, 2) == 27
     with pytest.raises(ValueError):
         workers_gasp_big(1, 0, 1)
+
+
+
+@pytest.mark.parametrize("count", [workers_ag, workers_a3s, workers_gasp_big])
+def test_worker_counts_refuse_non_integers(count):
+    # a fractional partition count would give a fractional worker count
+    with pytest.raises(ValueError, match=re.escape("m, n, x must be integers, got (2, 2.5, 1)")):
+        count(2, 2.5, 1)
+    with pytest.raises(ValueError, match=re.escape("m, n, x must be positive, got (2, 0, 1)")):
+        count(2, 0, 1)
 
 
 def test_degree_table_reference():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import agsdmm
 from agsdmm import SchemeParams, build_scheme, read_matrix_csv, run_protocol, write_matrix_csv
 from agsdmm.cli import main
 from agsdmm.protocol import SecrecyAuditReport
@@ -33,6 +38,24 @@ def test_params_swapped(capsys):
 def test_params_invalid_inputs(capsys):
     assert main(["params", "--m", "3", "--n", "3", "--x", "1"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+
+def _run_module(*args):
+    # python -m agsdmm in a fresh interpreter, with src/ on its path
+    src = str(Path(agsdmm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "agsdmm", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point():
+    out = _run_module("params", "--m", "2", "--n", "2", "--x", "1")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["n_workers"] == 8
+    out = _run_module("params", "--m", "3", "--n", "3", "--x", "1")
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr == "error: at least one of m=3, n=3 must be even\n"
 
 
 @pytest.mark.parametrize("command", ["params", "build", "audit"])

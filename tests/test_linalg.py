@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from agsdmm import (
     linalg,
     matmul_mod,
     rank,
+    write_matrix_csv,
 )
 from agsdmm.linalg import PANEL_WIDTH, echelon
 
@@ -156,6 +158,82 @@ def test_inverse_columns_rejects_bad_input():
         LUFactorization(np.zeros((2, 3), dtype=int), 7)
     with pytest.raises(ValueError):
         LUFactorization(np.ones((3, 2), dtype=int), 7)
+
+
+
+@pytest.mark.parametrize("q", TIER_PRIMES)
+def test_inverse_columns_at_a_narrow_panel(q, monkeypatch):
+    # width 3 puts several blocks, and a ragged last one, into both solves
+    monkeypatch.setattr(linalg, "PANEL_WIDTH", 3)
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 4, 7, 10):
+        v = _random_invertible(rng, q, n)
+        cols = rng.permutation(n)
+        got = LUFactorization(v, q).inverse_columns(cols)
+        assert np.array_equal(_exact(v) @ _exact(got) % q, np.eye(n, dtype=np.int64)[:, cols])
+
+
+def _random_lower(rng, q, n):
+    t = np.tril(rng.integers(0, q, size=(n, n)))
+    np.fill_diagonal(t, rng.integers(1, q, size=n))
+    return t
+
+
+@pytest.mark.parametrize("q", TIER_PRIMES)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 17, 31, 32, 33])
+def test_triangular_inverse_inverts_lower_and_upper_blocks(n, q):
+    # n sits on both sides of each doubling of the squarings' span
+    rng = np.random.default_rng(n)
+    lower = _random_lower(rng, q, n)
+    for t in (lower, _random_lower(rng, q, n).T):
+        inv = linalg._triangular_inverse(t, q)
+        assert inv.dtype == np.int64 and inv.min() >= 0 and inv.max() < q
+        assert np.array_equal(_exact(inv) @ _exact(t) % q, np.eye(n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("q", TIER_PRIMES)
+def test_solve_lower_writes_through_a_reversed_view(q):
+    # the back solve of inverse_columns: U X = Y as a lower solve on U with
+    # its rows and columns reversed and on X's rows reversed, in place
+    rng = np.random.default_rng(5)
+    n = 2 * PANEL_WIDTH + 3
+    upper = _random_lower(rng, q, n).T
+    y = rng.integers(0, q, size=(n, 4))
+    x = y.copy()
+    linalg._solve_lower(upper[::-1, ::-1], x[::-1], q)
+    assert np.array_equal(_exact(upper) @ _exact(x) % q, y)
+
+
+@pytest.mark.parametrize("q", [-7, 0, 1, 2.5, 7.0, "7", None, 2**63])
+def test_every_public_entry_refuses_a_bad_modulus(q, tmp_path):
+    # one check: an integer in [2, 2^63), before any arithmetic (q = 0 would
+    # otherwise divide by zero, 2^63 overflow int64, -7 give negative entries)
+    calls = (
+        lambda: matmul_mod([[3]], [[4]], q),
+        lambda: rank([[3, 1]], q),
+        lambda: echelon([[3, 1]], q),
+        lambda: LUFactorization([[3]], q),
+        lambda: all_square_submatrices_invertible([[3, 1]], q),
+        lambda: write_matrix_csv(tmp_path / "m.csv", [[1, 2]], q),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"field order {q!r} must be an integer in [2, 2^63)")):
+            call()
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_modulus_check_takes_numpy_integers():
+    # the largest tier prime as np.int64: pow() refuses it as a modulus, and
+    # the tier bound k (q - 1)^2 would overflow in it
+    q = TIER_PRIMES[-1]
+    v = _random_invertible(np.random.default_rng(2), q, 40)
+    assert matmul_mod(v, v, np.int64(q)).tolist() == matmul_mod(v, v, q).tolist()
+    assert rank(v, np.int64(q)) == 40
+    assert np.array_equal(echelon(v, np.int64(q))[2], echelon(v, q)[2])
+    lu = LUFactorization(v, np.int64(q))
+    assert type(lu.q) is int
+    assert np.array_equal(lu.inverse_columns([0, 39]), LUFactorization(v, q).inverse_columns([0, 39]))
+    assert matmul_mod([[1]], [[1]], 2**63 - 1).tolist() == [[1]]
 
 
 def test_select_information_columns_examples():

@@ -171,6 +171,28 @@ def test_resolve_orientation():
             orient(m, n, x)
 
 
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "2", None])
+def test_non_integer_parameters_are_refused(bad):
+    # one check before any arithmetic, which would otherwise give a float
+    # worker count or a TypeError from inside range
+    calls = (
+        lambda: orient(2, bad, 1),
+        lambda: derive_parameters(4, bad, 1),
+        lambda: build_scheme(SchemeParams(2, bad, 1)),
+        lambda: worker_count(2, bad, 1),
+        lambda: pole_sequences(2, bad, 1),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape("m, n, x must be integers, got ")):
+            call()
+    with pytest.raises(ValueError, match=re.escape(f"must be integers, got (4, 3, {bad!r})")):
+        derive_parameters(4, 3, bad)
+    # numpy integers are integers
+    assert worker_count(np.int64(2), 2, 1) == 8
+    assert orient(np.int64(3), 2, 1) == (2, 3, True)
+
+
 def test_derive_parameters_orients_odd_m():
     # (3, 4) gets the pole structure of (4, 3), with only swapped set
     p = derive_parameters(3, 4, 2)
