@@ -9,15 +9,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-_PRIME_CAP = 2**31
+_MODULUS_CAP = 2**31  # the package's one modulus range is [2, 2^31), linalg's too
 
 
 # memoized so that a field built on an order just tested does not divide again
 @lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test (supported range n < 2**31)."""
-    if n >= _PRIME_CAP:
-        raise ValueError(f"field order {n} exceeds supported cap {_PRIME_CAP}")
+    if n >= _MODULUS_CAP:
+        raise ValueError(f"field order {n} exceeds supported cap {_MODULUS_CAP}")
     if n < 2:
         return False
     if n < 4:

@@ -4,18 +4,18 @@ Matrices are 2-D numpy integer arrays with entries reduced into [0, q).
 Elimination uses first-nonzero pivoting: over a finite field there is no
 pivot-magnitude concern, so this keeps results deterministic. Products mod q
 run in the narrowest dtype that is still exact for their inner length and q:
-float32 or float64 (BLAS), int64, or Python integers. Their results are
-reduced as int32 where every sum lies below 2^31 and the result has at least
-FLOOR_REDUCE_MIN entries, and as int64 otherwise; the output is int64 either
-way. Those reductions, and the elimination's and the solves' block updates,
-run in place as x - q (x // q) from FLOOR_REDUCE_MIN entries on, since numpy
-divides by a scalar through libdivide and np.remainder does not; smaller
-arrays keep np.remainder. Every triangular solve, the elimination's and both
-of an LU's, is one blocked lower solve; U is solved with its rows and columns
-reversed. Operands are reduced only where an entry lies outside [0, q). The
-modulus is checked once, at the public entries, to be an integer in
-[2, 2^63); input enters through one int64 intake that refuses float, complex
-and out-of-int64 input from its dtype alone.
+float32 or float64 (BLAS), or int64, in 16-bit limbs of b past 2^63. Their
+results are reduced as int32 where every sum lies below 2^31 and the result
+has at least FLOOR_REDUCE_MIN entries, and as int64 otherwise; the output is
+int64 either way. Those reductions, and the elimination's and the solves'
+block updates, run in place as x - q (x // q) from FLOOR_REDUCE_MIN entries
+on, since numpy divides by a scalar through libdivide and np.remainder does
+not; smaller arrays keep np.remainder. Every triangular solve, the
+elimination's and both of an LU's, is one blocked lower solve; U is solved
+with its rows and columns reversed. Operands are reduced only where an entry
+lies outside [0, q). The modulus is checked once, at the public entries, to
+be an integer in [2, 2^31); input enters through one int64 intake that
+refuses float, complex and out-of-int64 input from its dtype alone.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import operator
 from itertools import combinations
 
 import numpy as np
+
+from .field import _MODULUS_CAP
 
 SUBMATRIX_CHECK_CAP = 10**6
 # a product's sums below these bounds are exact in float32, int32, float64 and int64
@@ -73,16 +75,17 @@ def matmul_mod(a, b, q: int) -> np.ndarray:
 
 
 def _check_modulus(q) -> int:
-    # q as a Python int in [2, 2^63), whose residues int64 holds; anything
-    # else, a float or a string included, is refused before any arithmetic.
-    # A numpy integer is taken and converted, since pow() refuses it as a
-    # modulus and the tier bound k (q - 1)^2 would overflow in it.
+    # q as a Python int in [2, 2^31), where int64 holds the product of two
+    # residues, as the elimination's updates need; anything else, a float or a
+    # string included, is refused before any arithmetic. A numpy integer is
+    # taken and converted, since pow() refuses it as a modulus and the tier
+    # bound k (q - 1)^2 would overflow in it.
     try:
         value = operator.index(q)
     except TypeError:
         value = None
-    if value is None or not 2 <= value < INT64_EXACT:
-        raise ValueError(f"field order {q!r} must be an integer in [2, 2^63)")
+    if value is None or not 2 <= value < _MODULUS_CAP:
+        raise ValueError(f"field order {q!r} must be an integer in [2, 2^31)")
     return value
 
 
@@ -127,13 +130,11 @@ def _tiers(inner: int, q: int, size: int):
 
     A dot product of length k is at most k (q-1)^2. Below 2^24 float32 BLAS
     is exact, below 2^53 float64 BLAS (every partial sum is an integer the
-    float holds exactly), and below 2^63 int64; past that the sums are Python
-    integers, and both dtypes are object. The result is reduced as int32 when
-    that bound is below 2^31 and it has at least FLOOR_REDUCE_MIN entries.
+    float holds exactly), and past that int64, taken in limbs (_limb_matmul)
+    from 2^63 on. The result is reduced as int32 when that bound is below
+    2^31 and it has at least FLOOR_REDUCE_MIN entries.
     """
     bound = inner * (q - 1) ** 2
-    if bound >= INT64_EXACT:
-        return object, object
     if bound < FLOAT32_EXACT:
         product = np.float32
     elif bound < FLOAT64_EXACT:
@@ -144,25 +145,34 @@ def _tiers(inner: int, q: int, size: int):
     return product, np.int32 if narrow else np.int64
 
 
+def _limb_matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    # a @ b mod q as a sum of residues, one per 2^16 terms: a b_lo + 2^16 (a b_hi mod q)
+    # for b's 16-bit limbs, where a b_lo <= 2^16 (q - 1)(2^16 - 1) < 2^63 - 2^47 at q < 2^31
+    out = 0
+    for i in range(0, a.shape[1], 2**16):
+        ai, bi = a[:, i:i + 2**16], b[i:i + 2**16]
+        out += (ai @ (bi & 0xFFFF) + (ai @ (bi >> 16) % q << 16)) % q
+    return out
+
+
 def _matmul_reduced(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Exact (a @ b) mod q as int64, for integer operands already reduced into [0, q).
 
-    The product runs in the dtype _tiers picks: float32 or float64 BLAS,
-    int64, or Python integers. Except in Python integers, b's columns are
-    taken CHUNK_BYTES at a time when the product does not fit in one chunk,
+    The product runs in the dtype _tiers picks: float32 or float64 BLAS, or
+    int64, in limbs where its sums could pass 2^63. b's columns are taken
+    CHUNK_BYTES at a time (half that in limbs, with twice the temporaries),
     so the reduction's temporary and any float copy stay within one chunk.
     An int64 reduction runs in the result's own chunk; an int32 one in an
     int32 copy of the chunk, which is then stored into the result.
     """
     rows, inner, cols = a.shape[0], a.shape[-1], b.shape[-1]
     dtype, reduce = _tiers(inner, q, rows * cols)
-    if dtype is object:
-        return np.asarray((a.astype(object) @ b.astype(object)) % q, dtype=np.int64)
+    limbs = dtype is np.int64 and inner * (q - 1) ** 2 >= INT64_EXACT
     # reducing the exact float sums as integers is an order of magnitude
     # faster than np.fmod
     a = a.astype(dtype, copy=False)
-    step = max(1, CHUNK_BYTES // (8 * max(rows, inner, 1)))
-    if cols <= step:
+    step = max(1, CHUNK_BYTES // ((16 if limbs else 8) * max(rows, inner, 1)))
+    if cols <= step and not limbs:
         # the chunk loop would add microseconds to each of the hundreds of
         # small products a run makes
         out = (a @ b.astype(dtype, copy=False)).astype(reduce, copy=False)
@@ -170,13 +180,13 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
         return out.astype(np.int64, copy=False)
     out = np.empty((rows, cols), dtype=np.int64)
     for c0 in range(0, cols, step):
-        chunk = out[:, c0:c0 + step]
+        chunk, bc = out[:, c0:c0 + step], b[:, c0:c0 + step]
         if reduce is np.int64:
             # reduced in the result's own view, so no second int64 chunk is held
-            chunk[:] = a @ b[:, c0:c0 + step].astype(dtype, copy=False)
+            chunk[:] = _limb_matmul(a, bc, q) if limbs else a @ bc.astype(dtype, copy=False)
             _reduce_in_place(chunk, q)
             continue
-        part = (a @ b[:, c0:c0 + step].astype(dtype, copy=False)).astype(np.int32)
+        part = (a @ bc.astype(dtype, copy=False)).astype(np.int32)
         _reduce_in_place(part, q)
         chunk[:] = part
         # nor is an int32 chunk while the next chunk's product is computed

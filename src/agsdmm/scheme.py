@@ -49,6 +49,8 @@ class SchemeParams:
 
     def __post_init__(self):
         _check_positive(self.m, self.n, self.x)
+        if self.q is not None:
+            object.__setattr__(self, "q", linalg._check_modulus(self.q))
 
 
 def _check_positive(m: int, n: int, x: int) -> None:

@@ -21,8 +21,8 @@ from agsdmm.linalg import PANEL_WIDTH, echelon
 # triangular solves, whose inner lengths run from 1 to PANEL_WIDTH and beyond:
 # float32 BLAS at every inner length (13), float32 up to inner length 16 and
 # float64 BLAS from 17 on (1009; both reduce as int32 where a result is large
-# enough), int64 (one term already exceeds 2^53), and Python integers (two
-# terms exceed 2^63), which includes the largest supported field
+# enough), int64 (one term already exceeds 2^53), and int64 in 16-bit limbs
+# (two terms exceed 2^63), which includes the largest supported field
 TIER_PRIMES = (13, 1009, 134217689, 2**31 - 1)
 
 
@@ -204,10 +204,12 @@ def test_solve_lower_writes_through_a_reversed_view(q):
     assert np.array_equal(_exact(upper) @ _exact(x) % q, y)
 
 
-@pytest.mark.parametrize("q", [-7, 0, 1, 2.5, 7.0, "7", None, 2**63])
+@pytest.mark.parametrize("q", [-7, 0, 1, 2.5, 7.0, "7", None, 2**31, 8589934609, 2**63])
 def test_every_public_entry_refuses_a_bad_modulus(q, tmp_path):
-    # one check: an integer in [2, 2^63), before any arithmetic (q = 0 would
-    # otherwise divide by zero, 2^63 overflow int64, -7 give negative entries)
+    # one check: an integer in [2, 2^31), before any arithmetic (q = 0 would
+    # otherwise divide by zero, 2^63 overflow int64, -7 give negative entries,
+    # and from q^2 >= 2^63 on, as at 8589934609, the elimination's int64
+    # updates would overflow silently and give a wrong rank)
     calls = (
         lambda: matmul_mod([[3]], [[4]], q),
         lambda: rank([[3, 1]], q),
@@ -217,7 +219,7 @@ def test_every_public_entry_refuses_a_bad_modulus(q, tmp_path):
         lambda: write_matrix_csv(tmp_path / "m.csv", [[1, 2]], q),
     )
     for call in calls:
-        with pytest.raises(ValueError, match=re.escape(f"field order {q!r} must be an integer in [2, 2^63)")):
+        with pytest.raises(ValueError, match=re.escape(f"field order {q!r} must be an integer in [2, 2^31)")):
             call()
     assert not (tmp_path / "m.csv").exists()
 
@@ -233,7 +235,7 @@ def test_modulus_check_takes_numpy_integers():
     lu = LUFactorization(v, np.int64(q))
     assert type(lu.q) is int
     assert np.array_equal(lu.inverse_columns([0, 39]), LUFactorization(v, q).inverse_columns([0, 39]))
-    assert matmul_mod([[1]], [[1]], 2**63 - 1).tolist() == [[1]]
+    assert matmul_mod([[1]], [[1]], 2**31 - 1).tolist() == [[1]]
 
 
 def test_select_information_columns_examples():
@@ -291,7 +293,7 @@ def test_matmul_mod_small():
 
 
 def test_matmul_mod_bigint_fallback():
-    q = 2147483647  # int64 would overflow on a length-3 inner product of squares
+    q = 2147483647  # int64 would overflow on a length-3 inner product of squares, limbs do not
     a = np.full((2, 3), q - 1, dtype=np.int64)
     b = np.full((3, 2), q - 1, dtype=np.int64)
     got = matmul_mod(a, b, q)
@@ -329,6 +331,42 @@ def test_matmul_mod_tier_boundaries(limit, q, offset):
     got = matmul_mod(a, b, q)
     assert got.dtype == np.int64
     assert np.array_equal(got, (a.astype(object) @ b.astype(object)) % q)
+
+
+@pytest.mark.parametrize("inner", [2, 3])
+@pytest.mark.parametrize("offset", [1, 2])
+def test_matmul_mod_limb_boundary(inner, offset):
+    # at q = 2^31 - 1, 2 (q - 1)^2 < 2^63 <= 3 (q - 2)^2: inner length 2 runs
+    # in plain int64 and 3 in 16-bit limbs of b
+    q = 2**31 - 1
+    assert (inner * (q - offset) ** 2 < 2**63) == (inner == 2)
+    a = np.full((2, inner), q - offset, dtype=np.int64)
+    b = np.full((inner, 5), q - offset, dtype=np.int64)
+    assert np.array_equal(matmul_mod(a, b, q), _exact(a) @ _exact(b) % q)
+
+
+@pytest.mark.parametrize("inner", [2**16, 2**16 + 1, 2**17 + 1])
+@pytest.mark.parametrize("a_entry,b_entry", [
+    (2**31 - 2, 2**31 - 3), (2**31 - 3, 2**31 - 2), (2**31 - 2, 2**31 - 2**16 - 1),
+])
+def test_matmul_mod_limb_chunk_boundary(inner, a_entry, b_entry):
+    # the limb split sums 2^16 terms at a time: 2^16 fills one piece, 2^16 + 1
+    # spills one term into a second, and 2^17 + 1 (three pieces) would wrap
+    # int64 in pieces twice as long; q - 1, q - 2 and 2^31 - 2^16 - 1 (low
+    # limb 0xFFFF) bring each piece's low-limb sums within 2^49 of 2^63
+    q = 2**31 - 1
+    a = np.full((1, inner), a_entry, dtype=np.int64)
+    b = np.full((inner, 1), b_entry, dtype=np.int64)
+    assert np.array_equal(matmul_mod(a, b, q), _exact(a) @ _exact(b) % q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 2**31 - 1])
+@pytest.mark.parametrize("inner", [1, 2, 3, 2**16, 2**16 + 1, 10**6])
+def test_tiers_are_numpy_dtypes(inner, q):
+    for size in (1, linalg.FLOOR_REDUCE_MIN):
+        product, reduce = linalg._tiers(inner, q, size)
+        assert product in (np.float32, np.float64, np.int64)
+        assert reduce in (np.int32, np.int64)
 
 
 def test_matmul_mod_refuses_input_int64_cannot_hold():
@@ -404,9 +442,9 @@ def test_matmul_mod_reduces_negative_and_unreduced_entries():
 ])
 @pytest.mark.parametrize("chunk_bytes", [None, 96])
 def test_matmul_reduced_in_column_chunks(q, rows, inner, cols, chunk_bytes, monkeypatch):
-    # at 96 bytes a product outside Python integers takes
-    # 96 // (8 max(rows, inner)) columns per chunk, whatever its dtype: 3 of
-    # 10 leaves a ragged chunk of 1, 3 of 12 none, and a 40-long inner product
+    # at 96 bytes a product takes 96 // (8 max(rows, inner)) columns per chunk
+    # whatever its dtype, 96 // (16 max(rows, inner)) in limbs (2^31 - 1): 3 of 10
+    # leaves a ragged chunk of 1, 3 of 12 none, and a 40-long inner product
     # one column at a time; 6 x 343 has FLOOR_REDUCE_MIN entries or more, so
     # the two small primes reduce it as int32, 2 columns at a time with a
     # ragged chunk of 1; zero-size operands must neither divide by zero nor
@@ -426,13 +464,14 @@ def test_matmul_reduced_never_copies_a_wide_operand_to_float64():
     # BLAS-tier product holds one column chunk of b and one of the result in
     # float, not float copies of the whole of b (6.4 MB) and of the result
     # (12.8 MB); in every tier the reduction's temporary is one chunk, not the
-    # size of the result
+    # size of the result, and the limb split's temporaries fit the same bound
     rng = np.random.default_rng(0)
     tiers = [
         (97, (np.float32, np.int32)),
         (2053, (np.float64, np.int32)),
         (23173, (np.float64, np.int64)),
         (134217689, (np.int64, np.int64)),
+        (2**31 - 1, (np.int64, np.int64)),
     ]
     for q, tier in tiers:
         a = rng.integers(0, q, size=(8, 4))
@@ -445,7 +484,8 @@ def test_matmul_reduced_never_copies_a_wide_operand_to_float64():
         finally:
             tracemalloc.stop()
         assert peak < out.nbytes + 2 * linalg.CHUNK_BYTES
-        assert np.array_equal(out, a @ b % q)
+        # a @ b would wrap int64 at 2^31 - 1, the limb tier, so that one takes Python ints
+        assert np.array_equal(out, _exact(a) @ _exact(b) % q if q == 2**31 - 1 else a @ b % q)
 
 
 @st.composite
@@ -510,7 +550,7 @@ def test_echelon_matches_unblocked_reference(case):
 def test_echelon_trailing_update_in_every_tier(q, width, monkeypatch):
     # k = width + 2 rows leave rows below a full panel of pivots, so a panel's
     # product has inner length width: float32 for 13, float32 at width 3 and
-    # float64 at width 32 for 1009, int64 for 134217689 and Python integers
+    # float64 at width 32 for 1009, int64 for 134217689 and int64 in limbs
     # for 2^31 - 1
     inner = []
     product = linalg._matmul_reduced

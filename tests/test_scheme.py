@@ -193,6 +193,17 @@ def test_non_integer_parameters_are_refused(bad):
     assert orient(np.int64(3), 2, 1) == (2, 3, True)
 
 
+@pytest.mark.parametrize("bad", [17.0, "17", 2**31, 0])
+def test_scheme_params_refuse_a_bad_field_order(bad):
+    # a given q meets linalg's one modulus check as the params are made, where
+    # 17.0 and '17' would otherwise raise a raw TypeError inside the build
+    with pytest.raises(ValueError, match=re.escape(f"field order {bad!r} must be an integer in [2, 2^31)")):
+        SchemeParams(2, 2, 1, q=bad)
+    # a numpy integer is kept as the Python int the build's pow() takes
+    params = SchemeParams(2, 2, 1, q=np.int64(17))
+    assert type(params.q) is int and build_scheme(params).q == 17
+
+
 def test_derive_parameters_orients_odd_m():
     # (3, 4) gets the pole structure of (4, 3), with only swapped set
     p = derive_parameters(3, 4, 2)
@@ -826,7 +837,7 @@ def test_matrix_csv_errors(tmp_path):
     bad.write_text("")
     with pytest.raises(ValueError, match="empty"):
         read_matrix_csv(bad)
-    for q in (0, 1, -7, 2**63):
+    for q in (0, 1, -7, 2**31, 2**63):
         bad.write_text(f"1,2,{q}\n1,2\n")
         with pytest.raises(ValueError, match=re.escape(f"{bad}: field order {q}")):
             read_matrix_csv(bad)
