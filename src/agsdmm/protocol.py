@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .field import PrimeField
 from .function_field import HyperellipticCurve, Place
-from .scheme import SchemeInstance, derive_parameters
+from .scheme import SchemeInstance, _matrix_texts, derive_parameters
 
 AUDIT_STATE_CAP = 2_000_000
 
@@ -53,16 +53,23 @@ class Transcript:
         return [(rec.index, rec.response) for rec in self.records]
 
     def to_jsonl_lines(self) -> list[str]:
-        lines = []
-        for rec in self.records:
-            lines.append(json.dumps({
-                "index": rec.index,
-                "place": {"x": rec.place.x, "y": rec.place.y},
-                "a_share": rec.a_share.tolist(),
-                "b_share": rec.b_share.tolist(),
-                "response": rec.response.tolist(),
-            }))
-        return lines
+        """One line per record, exactly json.dumps of its index, place, a_share, b_share, response.
+
+        The matrices are joined from one table of decimal tokens
+        (scheme._matrix_texts), built when their entries span fewer values
+        than they number, as residues mod q do once they number at least q;
+        else each is json.dumps(m.tolist()). Scalars go through json.dumps.
+        """
+        matrices = [m for rec in self.records for m in (rec.a_share, rec.b_share, rec.response)]
+        texts = iter(_matrix_texts(matrices, "[[", ", ", "], [", "]]",
+                                   lambda m: json.dumps(m.tolist())))
+        dumps = json.dumps
+        return [
+            f'{{"index": {dumps(rec.index)}, "place": {{"x": {dumps(rec.place.x)}, '
+            f'"y": {dumps(rec.place.y)}}}, "a_share": {next(texts)}, '
+            f'"b_share": {next(texts)}, "response": {next(texts)}}}'
+            for rec in self.records
+        ]
 
     def to_jsonl(self, path) -> None:
         Path(path).write_text("\n".join(self.to_jsonl_lines()) + "\n")

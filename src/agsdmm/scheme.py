@@ -384,6 +384,7 @@ class SchemeInstance:
 
 def check_field_order(poles: PoleStructure, q: int) -> None:
     """Validate an explicitly requested field order against a pole structure."""
+    q = linalg._check_modulus(q)
     if q % 2 == 0 or not is_prime(q):
         raise ValueError(f"field order must be an odd prime, got {q}")
     if q <= poles.d:
@@ -444,12 +445,49 @@ def load_scheme(path) -> SchemeInstance:
     return instance
 
 
+def _matrix_texts(matrices, start, sep, row_sep, end, per_entry) -> list[str]:
+    """Each matrix as start, its entries as str(v) with sep within and row_sep between rows, end.
+
+    When hi - lo, the span of the 2-D integer matrices' entries, is below
+    their count, one table of str(v) for v in [lo, hi] is indexed with m - lo
+    and each text is one join of tokens that carry their separators; other
+    matrices, and all when the span is wider, are per_entry(m).
+    """
+    def tabled(m):
+        return m.ndim == 2 and m.size > 0 and m.dtype.kind == "i"
+
+    flat = [m.ravel() for m in matrices if tabled(m)]
+    if flat:
+        entries = np.concatenate(flat)
+        lo, hi = int(entries.min()), int(entries.max())
+    if not flat or hi - lo >= entries.size:
+        return [per_entry(m) for m in matrices]
+    digits = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
+    within, row_end = digits + sep, digits + row_sep
+    texts = []
+    for m in matrices:
+        if not tabled(m):
+            texts.append(per_entry(m))
+            continue
+        index = np.subtract(m, lo, dtype=np.int64)
+        tokens = within[index]
+        tokens[:, -1] = row_end[index[:, -1]]
+        tokens[-1, -1] = digits[index[-1, -1]] + end
+        texts.append(start + "".join(tokens.ravel().tolist()))
+    return texts
+
+
 def write_matrix_csv(path, matrix, q: int) -> None:
-    """Write a matrix as CSV: a rows,cols,q header line, then one line per row."""
+    """Write a matrix as CSV: a rows,cols,q header line, then one line per row.
+
+    The body is joined from a table of decimal tokens (_matrix_texts) when
+    the entries span fewer values than they number, as they do once q is at
+    most that number; else it takes one str() per entry.
+    """
     mat = linalg.as_matrix(matrix, q)
-    lines = [f"{mat.shape[0]},{mat.shape[1]},{q}"]
-    lines.extend(",".join(map(str, row)) for row in mat.tolist())
-    Path(path).write_text("\n".join(lines) + "\n")
+    [body] = _matrix_texts([mat], "", ",", "\n", "\n", lambda m: "".join(
+        ",".join(map(str, row)) + "\n" for row in m.tolist()))
+    Path(path).write_text(f"{mat.shape[0]},{mat.shape[1]},{q}\n{body}")
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, int]:

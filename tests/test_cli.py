@@ -29,6 +29,17 @@ def test_params_with_field_check(capsys):
     assert main(["params", "--m", "2", "--n", "2", "--x", "1", "--q", "13"]) == 1
 
 
+@pytest.mark.parametrize("q", [2**31, 2**31 + 1])
+@pytest.mark.parametrize("command", ["params", "build"])
+def test_out_of_range_field_order_gives_one_message(tmp_path, capsys, command, q):
+    # params and build refuse a q outside [2, 2^31) with the same line
+    argv = [command, "--m", "2", "--n", "2", "--x", "1", "--q", str(q)]
+    if command == "build":
+        argv += ["--out", str(tmp_path / "s.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: field order {q} must be an integer in [2, 2^31)\n"
+
+
 def test_params_swapped(capsys):
     assert main(["params", "--m", "3", "--n", "4", "--x", "2"]) == 0
     data = json.loads(capsys.readouterr().out)

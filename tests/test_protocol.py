@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from agsdmm import (
     SchemeParams,
@@ -19,6 +20,7 @@ from agsdmm import (
     protocol,
     run_protocol,
 )
+from agsdmm.function_field import Place
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +148,70 @@ def test_transcript_jsonl_export(tmp_path, inst221):
         assert rec["a_share"] == transcript.records[i].a_share.tolist()
         assert rec["b_share"] == transcript.records[i].b_share.tolist()
         assert rec["response"] == transcript.records[i].response.tolist()
+
+
+def _reference_jsonl_lines(transcript):
+    # the transcript format's definition: json.dumps of each record, one
+    # conversion per entry
+    return [json.dumps({
+        "index": rec.index,
+        "place": {"x": rec.place.x, "y": rec.place.y},
+        "a_share": rec.a_share.tolist(),
+        "b_share": rec.b_share.tolist(),
+        "response": rec.response.tolist(),
+    }) for rec in transcript.records]
+
+
+@st.composite
+def _record_matrix(draw, base):
+    # int64 entries in [base, base + 8], a span the token table serves, or with
+    # base None over all of int64, which sends every matrix per entry; the
+    # small signed dtypes join the table when base is -4, and unsigned and bool
+    # matrices are always written per entry
+    dtype = draw(st.sampled_from([np.int64, np.int64, np.int32, np.int8, np.uint8,
+                                  np.uint64, np.bool_]))
+    shape = draw(st.tuples(st.integers(0, 5), st.integers(0, 5)))
+    if dtype == np.int64:
+        elements = (st.integers(base, base + 8) if base is not None else
+                    st.one_of(st.sampled_from([-2**63, 2**63 - 1]), st.integers(-2**63, 2**63 - 1)))
+    elif dtype in (np.int32, np.int8):
+        elements = st.integers(-4, 4)
+    else:
+        elements = None
+    return draw(hnp.arrays(dtype, shape, elements=elements))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), base=st.sampled_from([-2**63, -4, 2**63 - 9, None]))
+def test_jsonl_lines_equal_json_dumps_of_each_record(data, base):
+    matrix = _record_matrix(base)
+    records = data.draw(st.lists(st.tuples(st.integers(0, 10**6), st.integers(-2**40, 2**40),
+                                           matrix, matrix, matrix), max_size=4))
+    transcript = protocol.Transcript(q=7, m=2, n=2, x=1, records=[
+        protocol.WorkerRecord(index, Place(x, x + 1), a, b, r)
+        for index, x, a, b, r in records
+    ])
+    assert transcript.to_jsonl_lines() == _reference_jsonl_lines(transcript)
+
+
+def test_jsonl_lines_of_int8_entries_whose_offsets_overflow_int8():
+    # 420 entries span 199 values, so the token table serves them; v - lo
+    # reaches 199, which int8 cannot hold
+    a = np.arange(-100, 100, dtype=np.int8).reshape(10, 20)
+    transcript = protocol.Transcript(q=7, m=2, n=2, x=1, records=[
+        protocol.WorkerRecord(0, Place(0, 0), a, a.T, a[:1])])
+    assert transcript.to_jsonl_lines() == _reference_jsonl_lines(transcript)
+
+
+def test_jsonl_lines_of_a_seeded_run_equal_json_dumps():
+    # (8,8,4) with 16x64 shares, where the shares and responses far outnumber q
+    inst = build_scheme(SchemeParams(8, 8, 4))
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, inst.q, size=(128, 64))
+    b = rng.integers(0, inst.q, size=(64, 128))
+    _, transcript = run_protocol(a, b, inst, rng)
+    assert transcript.records[0].a_share.shape == (16, 64)
+    assert transcript.to_jsonl_lines() == _reference_jsonl_lines(transcript)
 
 
 def test_decoding_is_order_insensitive(inst221):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import agsdmm
 from agsdmm import (
@@ -193,12 +194,16 @@ def test_non_integer_parameters_are_refused(bad):
     assert orient(np.int64(3), 2, 1) == (2, 3, True)
 
 
-@pytest.mark.parametrize("bad", [17.0, "17", 2**31, 0])
+@pytest.mark.parametrize("bad", [17.0, "17", 2**31, 2**31 + 1, 0])
 def test_scheme_params_refuse_a_bad_field_order(bad):
-    # a given q meets linalg's one modulus check as the params are made, where
-    # 17.0 and '17' would otherwise raise a raw TypeError inside the build
-    with pytest.raises(ValueError, match=re.escape(f"field order {bad!r} must be an integer in [2, 2^31)")):
+    # a given q meets linalg's one modulus check as the params are made, and
+    # check_field_order meets it first too, where 17.0 and '17' would otherwise
+    # raise a raw TypeError and 2^31 + 1 is_prime's own cap message
+    message = re.escape(f"field order {bad!r} must be an integer in [2, 2^31)")
+    with pytest.raises(ValueError, match=message):
         SchemeParams(2, 2, 1, q=bad)
+    with pytest.raises(ValueError, match=message):
+        scheme.check_field_order(derive_parameters(2, 2, 1), bad)
     # a numpy integer is kept as the Python int the build's pow() takes
     params = SchemeParams(2, 2, 1, q=np.int64(17))
     assert type(params.q) is int and build_scheme(params).q == 17
@@ -820,9 +825,36 @@ def test_matrix_csv_roundtrip(tmp_path):
         assert path.read_text().splitlines()[0] == f"{shape[0]},{shape[1]},7"
     # the exact bytes, also for shapes without entries: one line per row
     for shape, text in (((2, 3), "2,3,7\n0,1,2\n3,4,5\n"), ((0, 3), "0,3,7\n"),
-                        ((3, 0), "3,0,7\n\n\n\n")):
+                        ((3, 0), "3,0,7\n\n\n\n"), ((3, 1), "3,1,7\n0\n1\n2\n"),
+                        ((1, 1), "1,1,7\n0\n")):
         write_matrix_csv(path, np.arange(math.prod(shape)).reshape(shape) - 7, 7)
         assert path.read_bytes() == text.encode()
+    # a 2x2 matrix over the largest q spans more values than it has entries
+    q = 2**31 - 1
+    write_matrix_csv(path, [[q - 1, 0], [-1, 2**62]], q)
+    assert path.read_bytes() == f"2,2,{q}\n{q - 1},0\n{q - 1},{2**62 % q}\n".encode()
+
+
+def _reference_matrix_csv(matrix, q):
+    # the CSV format's definition: one str() per entry
+    lines = [f"{matrix.shape[0]},{matrix.shape[1]},{q}"]
+    lines.extend(",".join(map(str, row)) for row in (matrix % q).tolist())
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from([2, 3, 7, 197, 2**31 - 1]), narrow=st.booleans(), data=st.data())
+def test_matrix_csv_text_equals_per_entry_rendering(tmp_path_factory, q, narrow, data):
+    # entries reduce to a span below the entry count (the token table) or not
+    # (per entry); both give the same bytes, and read back as written
+    shape = data.draw(st.tuples(st.integers(0, 16), st.integers(0, 16)))
+    elements = st.integers(-3, 3) if narrow else st.integers(-2**63, 2**63 - 1)
+    matrix = data.draw(hnp.arrays(np.int64, shape, elements=elements))
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    write_matrix_csv(path, matrix, q)
+    assert path.read_text() == _reference_matrix_csv(matrix, q)
+    got, got_q = read_matrix_csv(path)
+    assert got_q == q and got.shape == shape and np.array_equal(got, matrix % q)
 
 
 def test_matrix_csv_errors(tmp_path):
