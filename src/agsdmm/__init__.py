@@ -15,12 +15,7 @@ from .analysis import (
     write_sweep_csv,
 )
 from .field import PrimeField, is_prime
-from .function_field import (
-    HyperellipticCurve,
-    Monomial,
-    Place,
-    WeierstrassSemigroup,
-)
+from .function_field import HyperellipticCurve, Place
 from .linalg import (
     LUFactorization,
     SingularMatrixError,

@@ -1,13 +1,16 @@
 """Odd prime fields: primality and square roots.
 
 A field value is a plain Python int in [0, q), and a vector of them an int64
-numpy array; PrimeField validates q and takes the square roots that give the
-places their y-coordinates. Arithmetic is ordinary integer arithmetic mod q.
+numpy array; PrimeField validates q, and _square_roots takes in one array pass
+the square roots that give the places their y-coordinates. Arithmetic is
+ordinary integer arithmetic mod q.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 _MODULUS_CAP = 2**31  # the package's one modulus range is [2, 2^31), linalg's too
 
@@ -52,39 +55,50 @@ class PrimeField:
 
         Raises ValueError if a is not a square.
         """
-        v = int(a) % self.q
-        if v == 0:
-            return (0,)
-        r = self._sqrt_tonelli_shanks(v)
-        if r * r % self.q != v:
-            raise ValueError(f"{v} is not a square mod {self.q}")
-        lo, hi = sorted((r, self.q - r))
-        return (lo, hi)
+        q, v = self.q, int(a) % self.q
+        r = int(_square_roots(np.array([v], dtype=np.int64), q)[0])
+        if r * r % q != v:
+            raise ValueError(f"{v} is not a square mod {q}")
+        return (0,) if v == 0 else (r, q - r)
 
-    def _sqrt_tonelli_shanks(self, v: int) -> int:
-        q = self.q
-        if q % 4 == 3:
-            return pow(v, (q + 1) // 4, q)
-        # q = 1 (mod 4): write q - 1 = s * 2^e with s odd
-        s, e = q - 1, 0
-        while s % 2 == 0:
-            s //= 2
-            e += 1
-        z = 2
-        while pow(z, (q - 1) // 2, q) != q - 1:
-            z += 1
-        x = pow(v, (s + 1) // 2, q)
-        b = pow(v, s, q)
-        g = pow(z, s, q)
-        r = e
-        while b != 1:
-            t, m = b, 0
-            while t != 1:
-                t = t * t % q
-                m += 1
-            gs = pow(g, 1 << (r - m - 1), q)
-            g = gs * gs % q
-            x = x * gs % q
-            b = b * g % q
-            r = m
-        return x
+
+def _power(v: np.ndarray, e: int, q: int) -> np.ndarray:
+    """v^e mod q for each v in [0, q), by square-and-multiply on int64.
+
+    q < 2^31 keeps every product below 2^62.
+    """
+    out, base = np.ones_like(v), v.copy()
+    while e:
+        if e & 1:
+            out *= base
+            out %= q
+        base *= base
+        base %= q
+        e >>= 1
+    return out
+
+
+def _square_roots(v: np.ndarray, q: int) -> np.ndarray:
+    """The smallest square root of each square in v, by constant-time Tonelli-Shanks.
+
+    With q - 1 = s * 2^e, s odd, r = v^((s+1)/2) and t = v^s satisfy r^2 = v*t,
+    and c = z^s for a non-residue z has order 2^e. Each of the e - 1 masked steps
+    takes r to r*c and t to t*c^2 where t^(2^(k-2)) = -1, then squares c; that
+    leaves t = 1. A non-square entry gets an r with r^2 != v; callers check.
+    """
+    s, e = q - 1, 0
+    while s % 2 == 0:
+        s //= 2
+        e += 1
+    r = _power(v, (s + 1) // 2, q)
+    if e > 1:
+        t = _power(v, s, q)
+        z = next(z for z in range(2, q) if pow(z, (q - 1) // 2, q) == q - 1)
+        c = pow(z, s, q)
+        for k in range(e, 1, -1):
+            # here t^(2^(k-1)) = 1 and c has order 2^k
+            flip = _power(t, 1 << (k - 2), q) == q - 1
+            r = np.where(flip, r * c % q, r)
+            t = np.where(flip, t * (c * c % q) % q, t)
+            c = c * c % q
+    return np.minimum(r, q - r)

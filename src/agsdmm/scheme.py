@@ -49,6 +49,12 @@ class SchemeParams:
 
     def __post_init__(self):
         _check_positive(self.m, self.n, self.x)
+        try:
+            seed_ok = operator.index(self.seed) >= 0
+        except TypeError:
+            seed_ok = False
+        if not seed_ok:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.q is not None:
             object.__setattr__(self, "q", linalg._check_modulus(self.q))
 

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from agsdmm import (
+    HyperellipticCurve,
+    PrimeField,
     SchemeParams,
-    WeierstrassSemigroup,
     all_square_submatrices_invertible,
     build_scheme,
     degree_table_report,
@@ -110,12 +111,21 @@ def test_criterion_3_degree_table_reproduction():
 
 
 def test_criterion_4_weierstrass_structure():
+    # the basis evaluation refuses exactly the negative pole orders and the g
+    # gaps 1, 3, ..., 2g - 1 of the semigroup <2, d>
     ok = True
-    for d in range(3, 16, 2):
+    for d in range(1, 16, 2):
         g = (d - 1) // 2
-        gaps = WeierstrassSemigroup(d).gaps()
-        ok = ok and gaps == list(range(1, 2 * g, 2)) and len(gaps) == g
-    _report(4, "gap structure", ok, "d in {3,5,...,15}")
+        curve = HyperellipticCurve(PrimeField(17), d)
+        places = curve.select_distinct_x_places()
+        refused = []
+        for w in range(-2, 4 * g + 3):
+            try:
+                curve.evaluation_matrix([w], places)
+            except ValueError:
+                refused.append(w)
+        ok = ok and refused == [-2, -1, *range(1, 2 * g, 2)]
+    _report(4, "gap structure", ok, "d in {1,3,...,15}, w in [-2, 4g + 2]")
 
 
 def test_criterion_5_hasse_weil(instances):

@@ -180,6 +180,15 @@ def test_multiply_rejects_malformed_csv(tmp_path, capsys, a_text, message):
     assert str(a_path) in err and message in err
 
 
+def test_build_refuses_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert main(["build", "--m", "2", "--n", "2", "--x", "1", "--seed", "-1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
 def test_build_invalid_field(tmp_path):
     assert main(["build", "--m", "2", "--n", "2", "--x", "1",
                  "--q", "13", "--out", str(tmp_path / "s.json")]) == 1

@@ -1,6 +1,11 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from agsdmm import PrimeField, is_prime
+from agsdmm.field import _square_roots
 
 SMALL_PRIMES = [q for q in range(3, 201, 2) if is_prime(q)]
 
@@ -86,3 +91,14 @@ def test_field_order_repr_and_unreduced_values():
     assert f.q == 5 and repr(f) == "PrimeField(5)"
     # values are ints read mod q
     assert f.square_roots(9) == f.square_roots(4) == f.square_roots(-1) == (2, 3)
+
+
+# q - 1 = s * 2^e with e = 1, 2, 1, 4, 2, 3, 9, 16, 23, 1: every number of masked steps
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("q", [3, 5, 7, 17, 197, 617, 7681, 65537, 998244353, 2**31 - 1])
+def test_vectorized_square_roots_are_the_smallest(q, data):
+    v = data.draw(hnp.arrays(np.int64, st.integers(0, 40), elements=st.integers(0, q - 1)))
+    roots = _square_roots(v * v % q, q)
+    assert roots.dtype == np.int64
+    assert np.array_equal(roots, np.minimum(v, q - v))

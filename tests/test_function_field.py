@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from agsdmm import (
     HyperellipticCurve,
-    Monomial,
     Place,
     PrimeField,
     SchemeParams,
-    WeierstrassSemigroup,
     build_scheme,
     is_prime,
 )
@@ -44,6 +42,14 @@ def _brute_force_x_scan(q, d):
     return xs, fs, ys
 
 
+def _exponents(w, d):
+    # reference for the canonical basis without the library: the (a, b) with
+    # b in {0, 1}, a >= 0 and 2a + d*b = w, found by search; None for a gap
+    found = [(a, b) for b in (0, 1) for a in range(w // 2 + 1) if 2 * a + d * b == w]
+    assert len(found) <= 1  # d is odd, so b is the parity of w
+    return found[0] if found else None
+
+
 def _place_count(curve):
     # rational places: two over each x where f(x) is a nonzero square, one where
     # f(x) = 0, and the place at infinity
@@ -52,14 +58,28 @@ def _place_count(curve):
 
 
 def _riemann_roch_basis(curve, k):
-    # the canonical monomials with pole order <= k, sorted by pole order
-    sg = curve.semigroup()
-    return [curve.monomial_for_pole_number(w) for w in range(k + 1) if sg.is_pole_number(w)]
+    # the exponents (a, b) of the canonical monomials with pole order <= k, by pole order
+    return [e for e in (_exponents(w, curve.d) for w in range(k + 1)) if e is not None]
 
 
-def _evaluate(mono, place, q):
+def _evaluate(exponents, place, q):
     # scalar reference: x^a y^b at one affine place
-    return pow(place.x, mono.a, q) * (place.y if mono.b else 1) % q
+    a, b = exponents
+    return pow(place.x, a, q) * (place.y if b else 1) % q
+
+
+def _refused(d, pole_orders):
+    # the pole orders that evaluation_matrix refuses, each with the gap message
+    curve = HyperellipticCurve(PrimeField(17), d)
+    places = curve.select_distinct_x_places()
+    refused = []
+    for w in pole_orders:
+        try:
+            curve.evaluation_matrix([w], places)
+        except ValueError as err:
+            assert str(err) == f"{w} is a gap for d={d}; no function has that pole order"
+            refused.append(w)
+    return refused
 
 
 def test_curve_expands_f(curve7):
@@ -89,59 +109,51 @@ def test_curve_rejects_bad_inputs():
 
 @pytest.mark.parametrize("d,expected", [(3, [1]), (5, [1, 3]), (1, [])])
 def test_gap_examples(d, expected):
-    assert WeierstrassSemigroup(d).gaps() == expected
+    assert _refused(d, range(4 * d)) == expected
 
 
 @pytest.mark.parametrize("d", [1, 3, 5, 7, 9, 11, 13, 15])
 def test_gaps_complement_pole_numbers(d):
-    sg = WeierstrassSemigroup(d)
-    gaps = set(sg.gaps())
-    assert len(gaps) == sg.g
-    for w in range(4 * sg.g + 3):
-        assert sg.is_pole_number(w) == (w not in gaps)
+    # among w in [-2, 4g + 2] exactly the negatives and the g gaps 1, 3, ..., 2g - 1 are refused
+    g = (d - 1) // 2
+    assert _refused(d, range(-2, 4 * g + 3)) == [-2, -1, *range(1, 2 * g, 2)]
 
 
 def test_is_pole_number_examples():
-    sg = WeierstrassSemigroup(5)
-    assert sg.is_pole_number(4)
-    assert not sg.is_pole_number(3)
-    assert sg.is_pole_number(7)  # 7 = 2 + 5
-    assert not sg.is_pole_number(-2)
-
-
-def test_semigroup_rejects_even_d():
-    with pytest.raises(ValueError):
-        WeierstrassSemigroup(4)
+    assert _refused(5, [4, 3, 7, -2]) == [3, -2]  # 7 = 2 + 5
 
 
 def test_monomial_for_pole_number_examples():
+    assert _exponents(3, 3) == (0, 1)  # y
+    assert _exponents(4, 3) == (2, 0)  # x^2
+    assert _exponents(7, 5) == (1, 1)  # x y
+    assert _exponents(1, 3) is None  # gap
+    # the library's rows are those monomials: (5, 2) lies on y^2 = x(x - 1)(x - 2) over F_7
     c3 = HyperellipticCurve(PrimeField(7), 3)
-    assert c3.monomial_for_pole_number(3) == Monomial(0, 1)  # y
-    assert c3.monomial_for_pole_number(4) == Monomial(2, 0)  # x^2
+    assert c3.evaluation_matrix([3, 4], [Place(5, 2)]).tolist() == [[2], [4]]
     c5 = HyperellipticCurve(PrimeField(11), 5)
-    assert c5.monomial_for_pole_number(7) == Monomial(1, 1)  # x y
-    with pytest.raises(ValueError):
-        c3.monomial_for_pole_number(1)  # gap
+    place = next(p for p in c5.select_distinct_x_places() if p.y > 1)  # (6, 4)
+    assert c5.evaluation_matrix([7], [place]).tolist() == [[place.x * place.y % 11]]
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9])
 def test_monomials_biject_with_pole_numbers(d):
     curve = HyperellipticCurve(PrimeField(23), d)
-    sg = curve.semigroup()
-    k = 4 * curve.genus + 5
+    g = curve.genus
+    k = 4 * g + 5
     basis = _riemann_roch_basis(curve, k)
-    poles = [mono.pole_number(d) for mono in basis]
-    assert poles == sorted(w for w in range(k + 1) if sg.is_pole_number(w))
+    poles = [2 * a + d * b for a, b in basis]
+    assert poles == [w for w in range(k + 1) if w not in range(1, 2 * g, 2)]
     assert len(set(basis)) == len(basis)
 
 
 def test_riemann_roch_basis_examples():
     c3 = HyperellipticCurve(PrimeField(7), 3)
-    assert _riemann_roch_basis(c3, 1) == [Monomial(0, 0)]
-    assert _riemann_roch_basis(c3, 3) == [Monomial(0, 0), Monomial(1, 0), Monomial(0, 1)]
+    assert _riemann_roch_basis(c3, 1) == [(0, 0)]
+    assert _riemann_roch_basis(c3, 3) == [(0, 0), (1, 0), (0, 1)]
     c5 = HyperellipticCurve(PrimeField(11), 5)
     basis = _riemann_roch_basis(c5, 5)
-    assert basis == [Monomial(0, 0), Monomial(1, 0), Monomial(2, 0), Monomial(0, 1)]
+    assert basis == [(0, 0), (1, 0), (2, 0), (0, 1)]
     assert len(basis) == 5 + 1 - 2
 
 
@@ -244,6 +256,13 @@ def test_scan_window_matches_brute_force_property(residue, data):
     assert [(p.x, p.y) for p in places] == list(zip(xs[:k], ys[:k]))
 
 
+def test_places_refuse_an_x_without_a_point(curve7, monkeypatch):
+    # f(3) = 6 is not a square mod 7, so a scan that kept x = 3 is refused
+    monkeypatch.setattr(function_field, "scan_run_x", lambda q, d, limit: np.array([5, 3]))
+    with pytest.raises(RuntimeError, match="not a square"):
+        curve7.select_distinct_x_places()
+
+
 def test_window_carries_more_than_a_chunk(monkeypatch):
     # d - 1 = 20 flags carried across chunks of 3: every window spans several chunks
     monkeypatch.setattr(function_field, "SCAN_CHUNK", 3)
@@ -281,12 +300,11 @@ def test_evaluation_matrix_matches_scalar_evaluate(q, d):
     # every affine place: both y over each x the scan keeps
     places = [Place(p.x, y) for p in curve.select_distinct_x_places()
               for y in sorted({p.y, -p.y % q})]
-    poles = [w for w in range(3 * d + 4) if curve.semigroup().is_pole_number(w)]
+    poles = [w for w in range(3 * d + 4) if _exponents(w, d) is not None]
     mat = curve.evaluation_matrix(poles, places)
     assert mat.dtype == np.int64 and mat.shape == (len(poles), len(places))
     for t, w in enumerate(poles):
-        mono = curve.monomial_for_pole_number(w)
-        assert mat[t].tolist() == [_evaluate(mono, p, q) for p in places]
+        assert mat[t].tolist() == [_evaluate(_exponents(w, d), p, q) for p in places]
     assert curve.evaluation_matrix([], places).shape == (0, len(places))
     with pytest.raises(ValueError):
         curve.evaluation_matrix([1], places)  # 1 is a gap
@@ -305,15 +323,6 @@ def test_field_values_are_plain_ints():
               *field.square_roots(np.int64(13)), *curve.roots]
     assert all(type(v) is int for v in values)
     json.dumps(values)
-
-
-def test_pole_number_of_monomial():
-    assert Monomial(2, 1).pole_number(5) == 9
-    assert Monomial(3, 0).pole_number(5) == 6
-    with pytest.raises(ValueError):
-        Monomial(-1, 0)
-    with pytest.raises(ValueError):
-        Monomial(1, 2)
 
 
 def test_small_primes_helper_agrees():

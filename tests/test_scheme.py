@@ -33,9 +33,10 @@ from agsdmm import (
     write_matrix_csv,
 )
 from agsdmm.field import is_prime
-from agsdmm.function_field import HyperellipticCurve, Monomial
+from agsdmm.function_field import HyperellipticCurve
 from agsdmm.linalg import LUFactorization
 from agsdmm.scheme import orient, pole_sequences, worker_bound, worker_count
+from test_function_field import _evaluate, _exponents
 
 SWEEP = [
     (m, n, x)
@@ -209,6 +210,23 @@ def test_scheme_params_refuse_a_bad_field_order(bad):
     assert type(params.q) is int and build_scheme(params).q == 17
 
 
+@pytest.mark.parametrize("bad", [-1, 1.5, "3", None])
+def test_scheme_params_refuse_a_bad_seed(bad):
+    message = re.escape(f"seed must be a non-negative integer, got {bad!r}")
+    with pytest.raises(ValueError, match=message):
+        SchemeParams(2, 2, 1, seed=bad)
+    assert SchemeParams(2, 2, 1, seed=np.int64(7)).seed == 7
+
+
+def test_load_scheme_refuses_a_negative_seed(tmp_path):
+    # refused on load, not later when a run draws its masks from the seed
+    path = tmp_path / "scheme.json"
+    save_scheme(build_scheme(SchemeParams(2, 2, 1)), path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "seed": -1}))
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        load_scheme(path)
+
+
 def test_derive_parameters_orients_odd_m():
     # (3, 4) gets the pole structure of (4, 3), with only swapped set
     p = derive_parameters(3, 4, 2)
@@ -306,10 +324,10 @@ def test_build_auto_field_2_2_1(inst221):
     candidates = _candidates(inst221)
     assert len(candidates) == inst221.poles.code_degree + 1
     assert inst221.places == [candidates[c] for c in inst221.column_indices]
-    assert rank(_v_matrix(inst221), inst221.q) == 8
-    poles = [inst221.curve.monomial_for_pole_number(w).pole_number(inst221.poles.d)
-             for w in inst221.poles.distinct_poles]
-    assert tuple(poles) == inst221.poles.distinct_poles
+    v, d, q = _v_matrix(inst221), inst221.poles.d, inst221.q
+    assert rank(v, q) == 8
+    for t, w in enumerate(inst221.poles.distinct_poles):
+        assert v[:, t].tolist() == [_evaluate(_exponents(w, d), p, q) for p in inst221.places]
 
 
 def test_build_auto_field_4_3_2(inst432):
@@ -569,18 +587,13 @@ def test_encode_zero_matrix_single_mask(inst221):
 
 def test_encode_scalar_oracle(inst221):
     q = inst221.q
-    curve = inst221.curve
     a = np.array([[3], [5]])  # two 1x1 row blocks
     enc = inst221.encode("A", a, np.random.default_rng(9))
     mask = np.random.default_rng(9).integers(0, q, size=(1, 1), dtype=np.int64)
-    f2, f3 = (curve.monomial_for_pole_number(w) for w in inst221.poles.phi[1:3])
-
-    def evaluate(mono, place):
-        return pow(place.x, mono.a, q) * (place.y if mono.b else 1) % q
-
+    f2, f3 = (_exponents(w, inst221.poles.d) for w in inst221.poles.phi[1:3])
     for i, place in enumerate(inst221.places):
-        expected = (int(mask[0, 0]) + 3 * evaluate(f2, place) + 5 * evaluate(f3, place)) % q
-        assert enc.shares[i][0, 0] == expected
+        expected = int(mask[0, 0]) + 3 * _evaluate(f2, place, q) + 5 * _evaluate(f3, place, q)
+        assert enc.shares[i][0, 0] == expected % q
 
 
 def test_encode_linearity_via_mask_cancellation(inst221):
@@ -747,17 +760,17 @@ def test_star_product_dimension(inst221, inst432):
 
 def test_canonical_monomial_closure(inst432):
     # products of the chosen functions never need a y^2 reduction and land
-    # exactly on the canonical monomial of the summed pole order
-    d = inst432.poles.d
-    monomial = inst432.curve.monomial_for_pole_number
-    for wf in inst432.poles.phi:
-        for wg in inst432.poles.gamma:
-            mf, mg = monomial(wf), monomial(wg)
-            assert mf.b + mg.b <= 1  # no y^2 to reduce
-            prod = Monomial(mf.a + mg.a, mf.b + mg.b)
-            w = wf + wg
-            assert prod == monomial(w)
-            assert prod.pole_number(d) == w
+    # exactly on the canonical monomial of the summed pole order, whose row the
+    # library evaluates as the product of the two rows
+    poles, d, q = inst432.poles, inst432.poles.d, inst432.q
+    ws = sorted({*poles.phi, *poles.gamma, *poles.distinct_poles})
+    rows = dict(zip(ws, inst432.curve.evaluation_matrix(ws, _candidates(inst432))))
+    for wf in poles.phi:
+        for wg in poles.gamma:
+            (af, bf), (ag, bg) = _exponents(wf, d), _exponents(wg, d)
+            assert bf + bg <= 1  # no y^2 to reduce
+            assert _exponents(wf + wg, d) == (af + ag, bf + bg)
+            assert np.array_equal(rows[wf] * rows[wg] % q, rows[wf + wg])
 
 
 def test_security_generator_is_vandermonde(inst432):
