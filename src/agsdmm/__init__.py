@@ -14,8 +14,7 @@ from .analysis import (
     workers_gasp_big,
     write_sweep_csv,
 )
-from .field import PrimeField, is_prime
-from .function_field import HyperellipticCurve, Place
+from .field import is_prime
 from .linalg import (
     LUFactorization,
     SingularMatrixError,

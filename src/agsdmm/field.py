@@ -1,9 +1,9 @@
 """Odd prime fields: primality and square roots.
 
-A field value is a plain Python int in [0, q), and a vector of them an int64
-numpy array; PrimeField validates q, and _square_roots takes in one array pass
-the square roots that give the places their y-coordinates. Arithmetic is
-ordinary integer arithmetic mod q.
+A field is its order q alone, validated by check_odd_prime. A field value is a
+plain Python int in [0, q), and a vector of them an int64 numpy array;
+_square_roots takes in one array pass the square roots that give the places
+their y-coordinates. Arithmetic is ordinary integer arithmetic mod q.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 _MODULUS_CAP = 2**31  # the package's one modulus range is [2, 2^31), linalg's too
 
 
-# memoized so that a field built on an order just tested does not divide again
+# memoized so that repeated builds do not divide the same candidates again
 @lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test (supported range n < 2**31)."""
@@ -35,31 +35,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """The prime field of odd order q, whose values are the ints 0, ..., q - 1."""
-
-    __slots__ = ("q",)
-
-    def __init__(self, q: int):
-        if q % 2 == 0 or q < 3:
-            raise ValueError(f"field order must be an odd prime >= 3, got {q}")
-        if not is_prime(q):
-            raise ValueError(f"field order {q} is not prime")
-        self.q = q
-
-    def __repr__(self):
-        return f"PrimeField({self.q})"
-
-    def square_roots(self, a: int) -> tuple[int, ...]:
-        """Both square roots of a, ascending, or (0,) for zero.
-
-        Raises ValueError if a is not a square.
-        """
-        q, v = self.q, int(a) % self.q
-        r = int(_square_roots(np.array([v], dtype=np.int64), q)[0])
-        if r * r % q != v:
-            raise ValueError(f"{v} is not a square mod {q}")
-        return (0,) if v == 0 else (r, q - r)
+def check_odd_prime(q: int) -> None:
+    """Refuse a field order that is not an odd prime, with the package's one message."""
+    if q % 2 == 0 or q < 3 or not is_prime(q):
+        raise ValueError(f"field order must be an odd prime >= 3, got {q}")
 
 
 def _power(v: np.ndarray, e: int, q: int) -> np.ndarray:

@@ -10,15 +10,16 @@ over F_q, with the roots 0, 1, ..., d - 1. The key facts used throughout:
   * the functions x^a * y^b with b in {0, 1} are a canonical basis for the
     spaces of functions with poles only at infinity, indexed by their pole
     order 2a + d*b.
+
+The curve is (q, d) alone, taken as arguments, and a set of places is one
+(k, 2) int64 array of (x, y) rows, so a subset of places is one index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .field import PrimeField, _power, _square_roots
+from .field import _power, _square_roots
 
 # x-coordinates examined per numpy step of the place scan
 SCAN_CHUNK = 4096
@@ -57,80 +58,55 @@ def scan_run_x(q: int, d: int, limit: int | None = None) -> np.ndarray:
     return np.concatenate(xs)[:want]
 
 
-@dataclass(frozen=True)
-class Place:
-    """A rational affine place: the point (x, y) with y^2 = f(x)."""
+def evaluation_matrix(q: int, d: int, pole_orders, places) -> np.ndarray:
+    """M[t, i] = value at places[i] of the monomial with pole order pole_orders[t].
 
-    x: int
-    y: int
+    places is a (k, 2) int64 array of (x, y) rows. Pole order w is that of
+    x^a * y^b with b = w mod 2 and a = (w - d*b) / 2, and a gap exactly when
+    a < 0. Rows are a power table of the places' x gathered at a, times y where
+    b = 1; products stay below q^2 < 2^62, so int64 is exact.
+    """
+    w = np.array(pole_orders, dtype=np.int64).reshape(-1)
+    b = w % 2
+    a = (w - d * b) // 2
+    if (a < 0).any():
+        gap = w[a < 0][0]
+        raise ValueError(f"{gap} is a gap for d={d}; no function has that pole order")
+    xs, ys = places[:, 0], places[:, 1]
+    powers = np.ones((a.max(initial=0) + 1, len(xs)), dtype=np.int64)
+    for k in range(1, len(powers)):
+        powers[k] = powers[k - 1] * xs % q
+    rows = powers[a]
+    rows[b == 1] = rows[b == 1] * ys % q
+    return rows
 
 
-class HyperellipticCurve:
-    """The curve y^2 = x(x - 1)...(x - (d - 1)) over F_q, for an odd d <= q."""
+def f_values(q: int, d: int, xs) -> np.ndarray:
+    """f at each entry of xs, as an int64 array in [0, q).
 
-    def __init__(self, field: PrimeField, d: int):
-        if d % 2 == 0 or not 1 <= d <= field.q:
-            raise ValueError(f"d must be odd and lie in [1, q = {field.q}], got {d}")
-        self.field = field
-        self.d = d
-        self.roots = tuple(range(d))
+    A running product over the roots 0, ..., d - 1 on int64; q < 2^31 keeps
+    every product below q^2 < 2^62.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    f = np.ones_like(xs)
+    for r in range(d):
+        f *= xs - r
+        f %= q
+    return f
 
-    @property
-    def genus(self) -> int:
-        return (self.d - 1) // 2
 
-    def evaluation_matrix(self, pole_orders, places) -> np.ndarray:
-        """M[t, i] = value at places[i] of the monomial with pole order pole_orders[t].
+def select_distinct_x_places(q: int, d: int, limit: int | None = None) -> np.ndarray:
+    """One place per x-coordinate that carries a point (smallest y kept), as (x, y) rows.
 
-        Pole order w is that of x^a * y^b with b = w mod 2 and a = (w - d*b) / 2,
-        and a gap exactly when a < 0. Rows are a power table of the places' x
-        gathered at a, times y where b = 1; products stay below q^2 < 2^62, so
-        int64 is exact.
-        """
-        w = np.array(pole_orders, dtype=np.int64).reshape(-1)
-        b = w % 2
-        a = (w - self.d * b) // 2
-        if (a < 0).any():
-            gap = w[a < 0][0]
-            raise ValueError(f"{gap} is a gap for d={self.d}; no function has that pole order")
-        q = self.field.q
-        xs = np.array([p.x for p in places], dtype=np.int64)
-        ys = np.array([p.y for p in places], dtype=np.int64)
-        powers = np.ones((a.max(initial=0) + 1, len(xs)), dtype=np.int64)
-        for k in range(1, len(powers)):
-            powers[k] = powers[k - 1] * xs % q
-        rows = powers[a]
-        rows[b == 1] = rows[b == 1] * ys % q
-        return rows
-
-    def f_values(self, xs) -> np.ndarray:
-        """f at each entry of xs, as an int64 array in [0, q).
-
-        A running product over the roots on int64; q < 2^31 keeps every
-        product below q^2 < 2^62.
-        """
-        q = self.field.q
-        xs = np.asarray(xs, dtype=np.int64)
-        f = np.ones_like(xs)
-        for r in self.roots:
-            f *= xs - r
-            f %= q
-        return f
-
-    def select_distinct_x_places(self, limit: int | None = None) -> list[Place]:
-        """One place per x-coordinate that carries a point (smallest y kept).
-
-        The x are scan_run_x's, so only the first limit of them are taken when
-        limit is given; f and its square roots are computed at those x only.
-        """
-        q = self.field.q
-        xs = scan_run_x(q, self.d, limit)
-        f = self.f_values(xs)
-        ys = _square_roots(f, q)
-        if (ys * ys % q != f).any():
-            raise RuntimeError(f"the place scan kept an x where f is not a square on {self!r}")
-        return [Place(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
-
-    def __repr__(self):
-        return f"HyperellipticCurve(q={self.field.q}, d={self.d}, genus={self.genus})"
-
+    Refuses an even d, or one outside [1, q]. The x are scan_run_x's, so only
+    the first limit of them are taken when limit is given; f and its square
+    roots are computed at those x only. Returns a (k, 2) int64 array.
+    """
+    if d % 2 == 0 or not 1 <= d <= q:
+        raise ValueError(f"d must be odd and lie in [1, q = {q}], got {d}")
+    xs = scan_run_x(q, d, limit)
+    f = f_values(q, d, xs)
+    ys = _square_roots(f, q)
+    if (ys * ys % q != f).any():
+        raise RuntimeError(f"the place scan kept an x where f is not a square (q={q}, d={d})")
+    return np.stack((xs, ys), axis=1)

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .field import PrimeField
-from .function_field import HyperellipticCurve, Place
+from .field import check_odd_prime
+from .function_field import evaluation_matrix, select_distinct_x_places
 from .scheme import SchemeInstance, _matrix_texts, derive_parameters
 
 AUDIT_STATE_CAP = 2_000_000
@@ -29,7 +29,7 @@ class WorkerRecord:
     """Everything one worker saw and returned."""
 
     index: int
-    place: Place
+    place: tuple[int, int]
     a_share: np.ndarray
     b_share: np.ndarray
     response: np.ndarray
@@ -65,8 +65,8 @@ class Transcript:
                                    lambda m: json.dumps(m.tolist())))
         dumps = json.dumps
         return [
-            f'{{"index": {dumps(rec.index)}, "place": {{"x": {dumps(rec.place.x)}, '
-            f'"y": {dumps(rec.place.y)}}}, "a_share": {next(texts)}, '
+            f'{{"index": {dumps(rec.index)}, "place": {{"x": {dumps(rec.place[0])}, '
+            f'"y": {dumps(rec.place[1])}}}, "a_share": {next(texts)}, '
             f'"b_share": {next(texts)}, "response": {next(texts)}}}'
             for rec in self.records
         ]
@@ -99,8 +99,8 @@ def run_protocol(a, b, instance: SchemeInstance, rng=None):
     responses = instance.worker_products(shares_a, shares_b)
     result = instance.decode(responses)
     records = [
-        WorkerRecord(i, instance.places[i], shares_a.shares[i], shares_b.shares[i], responses[i])
-        for i in range(instance.n_workers)
+        WorkerRecord(i, tuple(place), shares_a.shares[i], shares_b.shares[i], responses[i])
+        for i, place in enumerate(instance.places.tolist())
     ]
     transcript = Transcript(
         q=instance.q, m=instance.params.m, n=instance.params.n,
@@ -189,7 +189,7 @@ def empirical_secrecy_audit(
     if m * n > 4 or x > 2:
         raise ValueError(f"audit supports m*n <= 4 and x <= 2, got m={m}, n={n}, x={x}")
     poles = derive_parameters(m, n, x)
-    field = PrimeField(q)
+    check_odd_prime(q)
     if q <= poles.d:
         raise ValueError(f"field order {q} too small for curve degree d={poles.d}")
     state = q ** (m + n + 2 * x)
@@ -198,13 +198,12 @@ def empirical_secrecy_audit(
             f"state space {state} exceeds the cap {AUDIT_STATE_CAP}; use smaller parameters"
         )
 
-    curve = HyperellipticCurve(field, poles.d)
-    places = curve.select_distinct_x_places()
+    places = select_distinct_x_places(q, poles.d)
     n_aud = len(places)
     if n_aud < x:
         raise ValueError(f"only {n_aud} usable places; need at least x={x}")
 
-    a_eval, b_eval = (curve.evaluation_matrix(poles.sides[side][0], places) for side in "AB")
+    a_eval, b_eval = (evaluation_matrix(q, poles.d, poles.sides[side][0], places) for side in "AB")
 
     subsets = list(combinations(range(n_aud), x))
 
@@ -244,7 +243,7 @@ def empirical_secrecy_audit(
     return SecrecyAuditReport(
         m=m, n=n, x=x, q=q,
         n_workers=n_aud,
-        place_xs=[p.x for p in places],
+        place_xs=places[:, 0].tolist(),
         # both sides share the x mask functions 1, x, ..., x^(x-1)
         mask_generator=a_eval[:x].tolist(),
         subsets=subsets,

@@ -33,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .field import PrimeField, is_prime
-from .function_field import HyperellipticCurve, scan_run_x
+from .field import check_odd_prime, is_prime
+from .function_field import evaluation_matrix, scan_run_x, select_distinct_x_places
 
 
 @dataclass(frozen=True)
@@ -277,20 +277,23 @@ class EncodedShares:
 
 
 class SchemeInstance:
-    """A fully built scheme: curve, information-set places, and evaluation system."""
+    """A fully built scheme: field order, information-set places, and evaluation system.
 
-    def __init__(self, params, poles, curve, candidate_places):
+    candidate_places is a (k, 2) int64 array of (x, y) rows on the curve of
+    degree poles.d over F_q; places holds the rows of the information set.
+    """
+
+    def __init__(self, params, poles, q, candidate_places):
         self.params = params
         self.poles = poles
-        self.curve = curve
-        self.q = q = curve.field.q
+        self.q = q
 
         # one elimination of the basis evaluated at the candidate places picks
         # the information set and factors its square submatrix S = V^T
-        evals = curve.evaluation_matrix(poles.distinct_poles, candidate_places)
+        evals = evaluation_matrix(q, poles.d, poles.distinct_poles, candidate_places)
         information_set = linalg.LUFactorization(evals, q)
         self.column_indices = information_set.columns
-        self.places = [candidate_places[c] for c in self.column_indices]
+        self.places = candidate_places[self.column_indices]
         # S[t][i] = V[i][t] = basis_t(P_i), invertible because the places form an information set
         s_matrix = evals[:, self.column_indices]
         # decoder rows: the coefficients of the recovery poles, in (j, j')
@@ -378,8 +381,8 @@ class SchemeInstance:
             "phi": list(self.poles.phi),
             "gamma": list(self.poles.gamma),
             "N": self.n_workers,
-            "curve": {"roots": list(self.curve.roots)},
-            "places": [{"x": p.x, "y": p.y} for p in self.places],
+            "curve": {"roots": list(range(self.poles.d))},
+            "places": [{"x": x, "y": y} for x, y in self.places.tolist()],
         }
 
     def __repr__(self):
@@ -391,8 +394,7 @@ class SchemeInstance:
 def check_field_order(poles: PoleStructure, q: int) -> None:
     """Validate an explicitly requested field order against a pole structure."""
     q = linalg._check_modulus(q)
-    if q % 2 == 0 or not is_prime(q):
-        raise ValueError(f"field order must be an odd prime, got {q}")
+    check_odd_prime(q)
     if q <= poles.d:
         raise ValueError(f"field order {q} too small: need q > d = {poles.d} distinct roots")
     required = poles.code_degree + 1
@@ -416,9 +418,8 @@ def build_scheme(params: SchemeParams) -> SchemeInstance:
     # a nonzero function of pole order <= code_degree has at most code_degree
     # zeros, so the first code_degree + 1 places already have full rank N, and
     # greedy leftmost pivots pick the same columns from them as from all places
-    curve = HyperellipticCurve(PrimeField(q), poles.d)
-    candidates = curve.select_distinct_x_places(poles.code_degree + 1)
-    return SchemeInstance(params, poles, curve, candidates)
+    candidates = select_distinct_x_places(q, poles.d, poles.code_degree + 1)
+    return SchemeInstance(params, poles, q, candidates)
 
 
 # -- persistence -------------------------------------------------------------
@@ -445,7 +446,7 @@ def load_scheme(path) -> SchemeInstance:
     )
     instance = build_scheme(params)
     rebuilt = instance.to_dict()
-    mismatched = [k for k in data if rebuilt.get(k) != data[k]]
+    mismatched = [k for k in data if k not in rebuilt or rebuilt[k] != data[k]]
     if mismatched:
         raise ValueError(f"scheme descriptor does not match its rebuild: {mismatched}")
     return instance

@@ -225,8 +225,14 @@ def test_audit_pass(capsys):
     assert "PASS" in out and "MDS check" in out
 
 
-def test_audit_invalid_params():
+def test_audit_invalid_params(capsys):
     assert main(["audit", "--m", "2", "--n", "2", "--x", "1", "--q", "11"]) == 1
+    capsys.readouterr()
+    # a field order that is not an odd prime: one error line, nothing on stdout
+    assert main(["audit", "--m", "2", "--n", "2", "--x", "1", "--q", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: field order must be an odd prime >= 3, got 4\n"
 
 
 def test_audit_failure_exits_2(monkeypatch, capsys):

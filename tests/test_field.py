@@ -4,64 +4,64 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from agsdmm import PrimeField, is_prime
-from agsdmm.field import _square_roots
+from agsdmm import is_prime
+from agsdmm.field import _square_roots, check_odd_prime
 
 SMALL_PRIMES = [q for q in range(3, 201, 2) if is_prime(q)]
 
 
-def _is_square(field, v):
-    # the residue test is square_roots' refusal of a non-square
-    try:
-        field.square_roots(v)
-    except ValueError:
-        return False
-    return True
+def _roots(v, q):
+    # both square roots of v mod q, ascending, or (0,) for zero, or None for a
+    # non-square: _square_roots' smallest root, kept only if it squares back to v
+    v %= q
+    r = int(_square_roots(np.array([v], dtype=np.int64), q)[0])
+    if r * r % q != v:
+        return None
+    return (0,) if v == 0 else (r, q - r)
+
+
+def _is_square(v, q):
+    return _roots(v, q) is not None
 
 
 @pytest.mark.parametrize("q", [1, 2, 4, 9, 15, 2**31])
 def test_bad_field_orders_rejected(q):
     with pytest.raises(ValueError):
-        PrimeField(q)
+        check_odd_prime(q)
 
 
 def test_is_square_examples():
-    f = PrimeField(7)
-    assert _is_square(f, 2) is True  # 3^2 = 2 mod 7
-    assert _is_square(f, 6) is False
-    assert _is_square(f, 0) is True
+    assert _is_square(2, 7) is True  # 3^2 = 2 mod 7
+    assert _is_square(6, 7) is False
+    assert _is_square(0, 7) is True
 
 
 @pytest.mark.parametrize("q", SMALL_PRIMES)
 def test_is_square_matches_brute_force(q):
-    f = PrimeField(q)
     squares = {b * b % q for b in range(q)}
     for v in range(q):
-        assert _is_square(f, v) == (v in squares)
+        assert _is_square(v, q) == (v in squares)
 
 
 @pytest.mark.parametrize("q", SMALL_PRIMES)
 def test_nonzero_square_count(q):
-    f = PrimeField(q)
-    assert sum(1 for v in range(1, q) if _is_square(f, v)) == (q - 1) // 2
+    assert sum(1 for v in range(1, q) if _is_square(v, q)) == (q - 1) // 2
 
 
 def test_sqrt_examples():
-    f13 = PrimeField(13)
-    assert f13.square_roots(4) == (2, 11)
-    assert f13.square_roots(0) == (0,)
-    f7 = PrimeField(7)
+    assert _roots(4, 13) == (2, 11)
+    assert _roots(0, 13) == (0,)
     assert not any(b * b % 7 == 5 for b in range(7))  # independent check
-    with pytest.raises(ValueError, match="not a square"):
-        f7.square_roots(5)
+    r = _square_roots(np.array([5]), 7)[0]
+    assert r * r % 7 != 5  # a non-square's root fails the residue check
+    assert _roots(5, 7) is None
 
 
 @pytest.mark.parametrize("q", [7, 13, 101, 199])
 def test_sqrt_roundtrip_small(q):
-    f = PrimeField(q)
     squares = {b * b % q for b in range(q)}
     for v in squares:
-        roots = f.square_roots(v)
+        roots = _roots(v, q)
         assert len(roots) == (1 if v == 0 else 2)
         for r in roots:
             assert r * r % q == v
@@ -69,28 +69,28 @@ def test_sqrt_roundtrip_small(q):
 
 @pytest.mark.parametrize("q", [1009, 10007, 1019])  # 1009, 10007 = 1 mod 4; 1019 = 3 mod 4
 def test_sqrt_roundtrip_tonelli_shanks(q):
-    f = PrimeField(q)
     square_count = 0
     for v in range(0, q, 7):
-        if not _is_square(f, v):
+        if not _is_square(v, q):
             continue
         square_count += 1
-        for r in f.square_roots(v):
+        for r in _roots(v, q):
             assert r * r % q == v
     assert square_count > 0
 
 
 def test_sqrt_returns_both_roots_ordered():
-    f = PrimeField(13)
-    lo, hi = f.square_roots(4)
+    lo, hi = _roots(4, 13)
     assert lo < hi and lo + hi == 13
 
 
 def test_field_order_repr_and_unreduced_values():
-    f = PrimeField(5)
-    assert f.q == 5 and repr(f) == "PrimeField(5)"
-    # values are ints read mod q
-    assert f.square_roots(9) == f.square_roots(4) == f.square_roots(-1) == (2, 3)
+    # an odd prime passes the check; any other order gets the one message
+    check_odd_prime(5)
+    with pytest.raises(ValueError, match="^field order must be an odd prime >= 3, got 9$"):
+        check_odd_prime(9)
+    # values read mod q have the same roots
+    assert _roots(9, 5) == _roots(4, 5) == _roots(-1, 5) == (2, 3)
 
 
 # q - 1 = s * 2^e with e = 1, 2, 1, 4, 2, 3, 9, 16, 23, 1: every number of masked steps

@@ -20,7 +20,6 @@ from agsdmm import (
     protocol,
     run_protocol,
 )
-from agsdmm.function_field import Place
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +127,8 @@ def _check_transcript_shapes(m, n, x):
         assert rec.a_share.shape == (2, 5)  # rows(A)/m x cols(A)
         assert rec.b_share.shape == (5, 3)  # rows(B) x cols(B)/n
         assert np.array_equal(rec.response, matmul_mod(rec.a_share, rec.b_share, inst.q))
-        assert rec.place == inst.places[rec.index]
+        assert rec.place == tuple(inst.places[rec.index].tolist())
+        assert all(type(v) is int for v in rec.place)
 
 
 def test_transcript_jsonl_export(tmp_path, inst221):
@@ -143,8 +143,8 @@ def test_transcript_jsonl_export(tmp_path, inst221):
     for i, line in enumerate(lines):
         rec = json.loads(line)
         assert rec["index"] == i
-        place = inst221.places[i]
-        assert rec["place"] == {"x": place.x, "y": place.y}
+        x, y = inst221.places[i].tolist()
+        assert rec["place"] == {"x": x, "y": y}
         assert rec["a_share"] == transcript.records[i].a_share.tolist()
         assert rec["b_share"] == transcript.records[i].b_share.tolist()
         assert rec["response"] == transcript.records[i].response.tolist()
@@ -155,7 +155,7 @@ def _reference_jsonl_lines(transcript):
     # conversion per entry
     return [json.dumps({
         "index": rec.index,
-        "place": {"x": rec.place.x, "y": rec.place.y},
+        "place": {"x": rec.place[0], "y": rec.place[1]},
         "a_share": rec.a_share.tolist(),
         "b_share": rec.b_share.tolist(),
         "response": rec.response.tolist(),
@@ -188,7 +188,7 @@ def test_jsonl_lines_equal_json_dumps_of_each_record(data, base):
     records = data.draw(st.lists(st.tuples(st.integers(0, 10**6), st.integers(-2**40, 2**40),
                                            matrix, matrix, matrix), max_size=4))
     transcript = protocol.Transcript(q=7, m=2, n=2, x=1, records=[
-        protocol.WorkerRecord(index, Place(x, x + 1), a, b, r)
+        protocol.WorkerRecord(index, (x, x + 1), a, b, r)
         for index, x, a, b, r in records
     ])
     assert transcript.to_jsonl_lines() == _reference_jsonl_lines(transcript)
@@ -199,7 +199,7 @@ def test_jsonl_lines_of_int8_entries_whose_offsets_overflow_int8():
     # reaches 199, which int8 cannot hold
     a = np.arange(-100, 100, dtype=np.int8).reshape(10, 20)
     transcript = protocol.Transcript(q=7, m=2, n=2, x=1, records=[
-        protocol.WorkerRecord(0, Place(0, 0), a, a.T, a[:1])])
+        protocol.WorkerRecord(0, (0, 0), a, a.T, a[:1])])
     assert transcript.to_jsonl_lines() == _reference_jsonl_lines(transcript)
 
 
@@ -361,6 +361,9 @@ def test_secrecy_audit_swapped_orientation():
 def test_secrecy_audit_parameter_guards(monkeypatch):
     with pytest.raises(ValueError, match="q <= 7"):
         empirical_secrecy_audit(2, 2, 1, 11)
+    for q in (-3, 0, 1, 4, 6):
+        with pytest.raises(ValueError, match="odd prime"):
+            empirical_secrecy_audit(2, 2, 1, q)
     with pytest.raises(ValueError, match="m\\*n <= 4"):
         empirical_secrecy_audit(4, 2, 1, 5)
     with pytest.raises(ValueError, match="m\\*n <= 4"):

@@ -32,11 +32,12 @@ from agsdmm import (
     smallest_admissible_field,
     write_matrix_csv,
 )
+from agsdmm import function_field
 from agsdmm.field import is_prime
-from agsdmm.function_field import HyperellipticCurve
+from agsdmm.function_field import evaluation_matrix, select_distinct_x_places
 from agsdmm.linalg import LUFactorization
 from agsdmm.scheme import orient, pole_sequences, worker_bound, worker_count
-from test_function_field import _evaluate, _exponents
+from test_function_field import _evaluate, _exponents, _place_count
 
 SWEEP = [
     (m, n, x)
@@ -49,25 +50,18 @@ SWEEP = [
 
 def _candidates(inst):
     # the code_degree + 1 places the build evaluates the basis at
-    return inst.curve.select_distinct_x_places(inst.poles.code_degree + 1)
+    return select_distinct_x_places(inst.q, inst.poles.d, inst.poles.code_degree + 1)
 
 
 def _v_matrix(inst):
     # V[i][t] = basis_t(P_i) at the information-set places
-    return inst.curve.evaluation_matrix(inst.poles.distinct_poles, inst.places).T
-
-
-def _place_count(curve):
-    # rational places: two over each x where f(x) is a nonzero square, one where
-    # f(x) = 0, and the place at infinity
-    f = curve.f_values([p.x for p in curve.select_distinct_x_places()])
-    return 2 * len(f) - int(np.count_nonzero(f == 0)) + 1
+    return evaluation_matrix(inst.q, inst.poles.d, inst.poles.distinct_poles, inst.places).T
 
 
 def _star_product_dimension(inst, places):
     # rank of all pairwise products of the two sides' codeword generators at places
-    fa = inst.curve.evaluation_matrix(inst.poles.phi, places)
-    gb = inst.curve.evaluation_matrix(inst.poles.gamma, places)
+    fa = evaluation_matrix(inst.q, inst.poles.d, inst.poles.phi, places)
+    gb = evaluation_matrix(inst.q, inst.poles.d, inst.poles.gamma, places)
     return rank((fa[:, None] * gb[None] % inst.q).reshape(-1, len(places)), inst.q)
 
 
@@ -323,7 +317,7 @@ def test_build_auto_field_2_2_1(inst221):
     assert not inst221.poles.swapped
     candidates = _candidates(inst221)
     assert len(candidates) == inst221.poles.code_degree + 1
-    assert inst221.places == [candidates[c] for c in inst221.column_indices]
+    assert np.array_equal(inst221.places, candidates[inst221.column_indices])
     v, d, q = _v_matrix(inst221), inst221.poles.d, inst221.q
     assert rank(v, q) == 8
     for t, w in enumerate(inst221.poles.distinct_poles):
@@ -349,6 +343,7 @@ DESCRIPTOR_DIGESTS = {
     (4, 3, 2): "84481e73f35614cf4ce07278128a0595e12b44d0cbac0bf47b88b7eec54d733e",
     (3, 4, 2): "40e425ab3ddf2cdb019a3d5895bd489f76044c4e860ba0802ffb99a486e02d51",
     (8, 8, 4): "07e3d5a308edab8394fac88a67810f93425f5afc1847944677e19612ea76e98b",
+    (14, 14, 10): "f4519914782738429c1b1a1653d2879d39d163376f62d5b2f42cbe823e09cf7d",
 }
 
 
@@ -465,14 +460,14 @@ def test_build_runs_one_elimination(monkeypatch):
     eliminate = agsdmm.linalg._eliminate
     monkeypatch.setattr(agsdmm.linalg, "_eliminate",
                         lambda a, q: calls.append(a.shape) or eliminate(a, q))
-    evaluate = HyperellipticCurve.evaluation_matrix
+    evaluate = scheme.evaluation_matrix
 
-    def counted(curve, pole_orders, places):
-        out = evaluate(curve, pole_orders, places)
+    def counted(q, d, pole_orders, places):
+        out = evaluate(q, d, pole_orders, places)
         evaluations.append(out.shape)
         return out
 
-    monkeypatch.setattr(HyperellipticCurve, "evaluation_matrix", counted)
+    monkeypatch.setattr(scheme, "evaluation_matrix", counted)
     for params in ((4, 3, 2), (3, 4, 2)):
         calls.clear()
         evaluations.clear()
@@ -520,12 +515,12 @@ def test_field_search_starts_late_without_changing_q(m, n, x):
 
 
 def test_field_search_builds_no_curve(monkeypatch):
-    # candidates are counted by the Legendre-symbol window alone: no curve, no f(x)
+    # candidates are counted by the Legendre-symbol window alone: no places, no f(x)
     def refuse(*args, **kwargs):
-        raise AssertionError("the field search built a curve or evaluated f")
+        raise AssertionError("the field search took places or evaluated f")
 
-    monkeypatch.setattr(HyperellipticCurve, "__init__", refuse)
-    monkeypatch.setattr(HyperellipticCurve, "f_values", refuse)
+    monkeypatch.setattr(scheme, "select_distinct_x_places", refuse)
+    monkeypatch.setattr(function_field, "f_values", refuse)
     poles = derive_parameters(14, 14, 10)
     assert smallest_admissible_field(poles.d, poles.code_degree + 1) == 617
 
@@ -540,12 +535,12 @@ def test_candidate_prefix_gives_the_same_information_set(m, n, x, q):
     # build scans only the first code_degree + 1 places; every place of F_q
     # must give the same pivot columns and star-product dimension
     inst = build_scheme(SchemeParams(m, n, x, q=q))
-    every = inst.curve.select_distinct_x_places()
+    every = select_distinct_x_places(inst.q, inst.poles.d)
     candidates = _candidates(inst)
     assert len(candidates) == inst.poles.code_degree + 1 < len(every)
-    assert candidates == every[:len(candidates)]
-    assert inst.places == [candidates[c] for c in inst.column_indices]
-    evals = inst.curve.evaluation_matrix(inst.poles.distinct_poles, every)
+    assert np.array_equal(candidates, every[:len(candidates)])
+    assert np.array_equal(inst.places, candidates[inst.column_indices])
+    evals = evaluation_matrix(inst.q, inst.poles.d, inst.poles.distinct_poles, every)
     assert LUFactorization(evals, inst.q).columns == inst.column_indices
     assert _star_product_dimension(inst, every) == _star_product_dimension(inst, candidates)
 
@@ -571,7 +566,8 @@ def test_build_rejects_bad_fields():
 
 
 def test_places_have_distinct_x(inst221):
-    xs = [p.x for p in inst221.places]
+    assert inst221.places.dtype == np.int64 and inst221.places.shape == (8, 2)
+    xs = inst221.places[:, 0].tolist()
     assert len(set(xs)) == len(xs) == 8
 
 
@@ -764,7 +760,7 @@ def test_canonical_monomial_closure(inst432):
     # library evaluates as the product of the two rows
     poles, d, q = inst432.poles, inst432.poles.d, inst432.q
     ws = sorted({*poles.phi, *poles.gamma, *poles.distinct_poles})
-    rows = dict(zip(ws, inst432.curve.evaluation_matrix(ws, _candidates(inst432))))
+    rows = dict(zip(ws, evaluation_matrix(q, d, ws, _candidates(inst432))))
     for wf in poles.phi:
         for wg in poles.gamma:
             (af, bf), (ag, bg) = _exponents(wf, d), _exponents(wg, d)
@@ -778,7 +774,7 @@ def test_security_generator_is_vandermonde(inst432):
     for side in ("A", "B"):
         gen = inst432.security_generator(side)
         assert gen.shape == (2, 24)
-        xs = [p.x for p in inst432.places]
+        xs = inst432.places[:, 0].tolist()
         expected = np.array([[pow(xv, k, q) for xv in xs] for k in range(2)])
         assert np.array_equal(gen, expected)
         assert all_square_submatrices_invertible(gen, q)
@@ -807,7 +803,9 @@ def test_scheme_descriptor_tamper_detected(tmp_path, inst221):
     # the library builds only the roots 0, ..., d - 1, so the rebuild is the one
     # guard against a descriptor that names others
     other_roots = [{**saved, "curve": {"roots": roots}} for roots in ([0, 1, 3], [3, 7, 11])]
-    for data in [moved_place, *other_roots]:
+    # a key the rebuild does not write is refused whatever its value, null included
+    extra_keys = [{**saved, "extra": value} for value in (None, 1)]
+    for data in [moved_place, *other_roots, *extra_keys]:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="does not match"):
             load_scheme(path)
@@ -907,6 +905,6 @@ def test_built_instance_consistency(m, n, x):
     assert len(inst.places) == inst.n_workers
     assert max(inst.column_indices) <= inst.poles.code_degree
     # Hasse-Weil check on the chosen curve
-    count = _place_count(inst.curve)
+    count = _place_count(inst.q, inst.poles.d)
     g, q = inst.poles.g, inst.q
     assert abs(count - (q + 1)) <= math.isqrt(4 * g * g * q)
