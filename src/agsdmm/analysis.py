@@ -1,6 +1,8 @@
 """Worker-count formulas, rate comparisons, degree tables, and parameter sweeps.
 
-Three schemes are compared by their download rate m*n/N:
+Three schemes are compared by their download rate m*n/N, which a sweep row
+renders in lowest terms through gcd and to 4 places as the correctly rounded
+int division m*n / N, as str and float of its Fraction would:
 
   * ag       -- this package's construction; with the even side called m,
                 the worker count is mn + m + 3x - 2 + (n - 1) min(x, m/2),
@@ -20,6 +22,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, prod
 from pathlib import Path
 from typing import NamedTuple
 
@@ -49,12 +52,20 @@ def workers_ag(m: int, n: int, x: int) -> AgWorkerCount:
 def workers_a3s(m: int, n: int, x: int) -> int:
     """Worker count (m + x)(n + 1) - 1, minimized over the two orientations."""
     _check_positive(m, n, x)
-    return min((m + x) * (n + 1) - 1, (n + x) * (m + 1) - 1)
+    return _a3s(m, n, x)
 
 
 def workers_gasp_big(m: int, n: int, x: int) -> int:
     """Upper bound 2mn + 2x - 1 on the gap-based polynomial scheme's worker count."""
     _check_positive(m, n, x)
+    return _gasp_big(m, n, x)
+
+
+def _a3s(m: int, n: int, x: int) -> int:
+    return min((m + x) * (n + 1) - 1, (n + x) * (m + 1) - 1)
+
+
+def _gasp_big(m: int, n: int, x: int) -> int:
     return 2 * m * n + 2 * x - 1
 
 
@@ -103,6 +114,8 @@ def degree_table_report(a_exponents, b_exponents) -> DegreeTableReport:
 
 SCHEMES = ("ag", "a3s", "gasp_big")
 
+SWEEP_POINT_CAP = 10**6  # about 8x the README's 2:50 x 1:50 x 1:50 grid
+
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -137,12 +150,12 @@ class SweepPoint:
     @property
     def best(self) -> str:
         """The scheme with the fewest workers; ties go to the earlier one in SCHEMES."""
-        workers = self.workers
-        return min(workers, key=workers.get)
+        best, fewest = ("a3s", self.a3s) if self.a3s <= self.gasp_big else ("gasp_big", self.gasp_big)
+        return "ag" if self.ag is not None and self.ag <= fewest else best
 
     @property
     def ag_wins(self) -> bool:
-        return self.ag is not None and self.ag < min(self.a3s, self.gasp_big)
+        return self.ag is not None and self.ag < self.a3s and self.ag < self.gasp_big
 
 
 @dataclass(frozen=True)
@@ -169,18 +182,22 @@ def sweep_point(m: int, n: int, x: int) -> SweepPoint:
     try:
         ag, ag_bound = workers_ag(m, n, x)
     except ValueError:
+        _check_positive(m, n, x)  # refuses an invalid point; a valid one is unsupported
         ag, ag_bound = None, None
-    return SweepPoint(m, n, x, ag, ag_bound, workers_a3s(m, n, x), workers_gasp_big(m, n, x))
+    return SweepPoint(m, n, x, ag, ag_bound, _a3s(m, n, x), _gasp_big(m, n, x))
+
+
+def _check_sweep_size(points: int) -> None:
+    """Refuse a sweep of more than SWEEP_POINT_CAP points before anything is built."""
+    if points > SWEEP_POINT_CAP:
+        raise ValueError(f"sweep of {points} points exceeds the cap of {SWEEP_POINT_CAP} points")
 
 
 def compare_sweep(m_values, n_values, x_values) -> tuple[list[SweepPoint], SweepSummary]:
     """Evaluate all three schemes across the given ranges, sorted by (m, n, x)."""
-    points = [
-        sweep_point(m, n, x)
-        for m in sorted(set(m_values))
-        for n in sorted(set(n_values))
-        for x in sorted(set(x_values))
-    ]
+    m_axis, n_axis, x_axis = axes = [sorted(set(v)) for v in (m_values, n_values, x_values)]
+    _check_sweep_size(prod(map(len, axes)))
+    points = [sweep_point(m, n, x) for m in m_axis for n in n_axis for x in x_axis]
     summary = SweepSummary(
         total=len(points),
         ag_supported=sum(p.ag_supported for p in points),
@@ -200,25 +217,27 @@ SWEEP_CSV_FIELDS = [
 UNSUPPORTED = "unsupported"
 
 
+def _rate_cells(mn: int, workers: int) -> list[str]:
+    # str and float of Fraction(mn, workers): int true division rounds correctly
+    g = gcd(mn, workers)
+    rate = str(mn // g) if workers == g else f"{mn // g}/{workers // g}"
+    return [rate, f"{mn / workers:.4f}"]
+
+
 def sweep_point_to_csv_row(point: SweepPoint) -> list[str]:
-    row = [str(point.m), str(point.n), str(point.x)]
-    for scheme in SCHEMES:
-        workers = getattr(point, scheme)
-        if workers is None:
-            row += [UNSUPPORTED, "", "", ""]
-            continue
-        rate = point.rate(scheme)
-        bound = [str(point.ag_bound)] if scheme == "ag" else []
-        row += [str(workers), *bound, str(rate), f"{float(rate):.4f}"]
-    return [*row, point.best]
+    mn = point.m * point.n
+    ag = ([UNSUPPORTED, "", "", ""] if point.ag is None
+          else [str(point.ag), str(point.ag_bound), *_rate_cells(mn, point.ag)])
+    return [str(point.m), str(point.n), str(point.x), *ag,
+            str(point.a3s), *_rate_cells(mn, point.a3s),
+            str(point.gasp_big), *_rate_cells(mn, point.gasp_big), point.best]
 
 
 def format_sweep_csv(points) -> str:
+    # no cell holds a comma, quote or newline, so this is the text csv.writer writes
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_FIELDS)
-    for point in points:
-        writer.writerow(sweep_point_to_csv_row(point))
+    buf.write(",".join(SWEEP_CSV_FIELDS) + "\n")
+    buf.writelines(",".join(sweep_point_to_csv_row(p)) + "\n" for p in points)
     return buf.getvalue()
 
 
@@ -237,15 +256,21 @@ def parse_sweep_csv(text: str) -> list[SweepPoint]:
         raise ValueError("unrecognized sweep CSV header")
     points = []
     for line, row in enumerate(rows[1:], start=2):
-        rec = dict(zip(SWEEP_CSV_FIELDS, row, strict=True))
+        if len(row) != len(SWEEP_CSV_FIELDS):
+            raise ValueError(f"sweep CSV line {line}: {len(row)} cells, "
+                             f"expected {len(SWEEP_CSV_FIELDS)}")
+        rec = dict(zip(SWEEP_CSV_FIELDS, row))
         supported = rec["ag_workers"] != UNSUPPORTED
-        point = SweepPoint(
-            int(rec["m"]), int(rec["n"]), int(rec["x"]),
-            ag=int(rec["ag_workers"]) if supported else None,
-            ag_bound=int(rec["ag_bound"]) if supported else None,
-            a3s=int(rec["a3s_workers"]),
-            gasp_big=int(rec["gasp_big_workers"]),
-        )
+        try:
+            point = SweepPoint(
+                int(rec["m"]), int(rec["n"]), int(rec["x"]),
+                ag=int(rec["ag_workers"]) if supported else None,
+                ag_bound=int(rec["ag_bound"]) if supported else None,
+                a3s=int(rec["a3s_workers"]),
+                gasp_big=int(rec["gasp_big_workers"]),
+            )
+        except ValueError as exc:
+            raise ValueError(f"sweep CSV line {line}: {exc}") from None
         if min(point.workers.values()) < 1:
             raise ValueError(f"sweep CSV line {line}: worker counts must be positive")
         differ = [f for f, want, got in zip(SWEEP_CSV_FIELDS, sweep_point_to_csv_row(point), row)

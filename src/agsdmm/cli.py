@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import linalg
-from .analysis import compare_sweep, degree_table_report, write_sweep_csv
+from .analysis import _check_sweep_size, compare_sweep, degree_table_report, write_sweep_csv
 from .protocol import empirical_secrecy_audit, run_protocol
 from .scheme import (
     SchemeParams,
@@ -35,18 +36,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
-def _parse_range(text: str) -> list[int]:
-    """'2:50' -> [2..50], '7' -> [7]."""
+def _parse_range(text: str) -> range:
+    """'2:50' -> range(2, 51), '7' -> range(7, 8); nothing is allocated per value."""
     lo, sep, hi = text.partition(":")
     try:
-        if not sep:
-            return [int(lo)]
-        start, end = int(lo), int(hi)
+        start = int(lo)
+        end = int(hi) if sep else start
     except ValueError:
         raise ValueError(f"malformed range {text!r}; expected START:END or a single integer")
     if end < start:
         raise ValueError(f"empty range {text!r}")
-    return list(range(start, end + 1))
+    return range(start, end + 1)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -111,9 +111,9 @@ def cmd_degree_table(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    points, summary = compare_sweep(
-        _parse_range(args.m_range), _parse_range(args.n_range), _parse_range(args.x_range)
-    )
+    axes = [_parse_range(text) for text in (args.m_range, args.n_range, args.x_range)]
+    _check_sweep_size(math.prod(map(len, axes)))
+    points, summary = compare_sweep(*axes)
     write_sweep_csv(points, args.out)
     for line in summary.lines():
         print(line)

@@ -1,9 +1,11 @@
+import csv
 import hashlib
+import io
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agsdmm import (
@@ -18,7 +20,8 @@ from agsdmm import (
     workers_gasp_big,
     write_sweep_csv,
 )
-from agsdmm.analysis import sweep_point
+from agsdmm import analysis
+from agsdmm.analysis import SCHEMES, SWEEP_CSV_FIELDS, SWEEP_POINT_CAP, SweepPoint, sweep_point
 
 # the reference exponent table: 18 distinct entries
 REFERENCE_TABLE = [
@@ -249,9 +252,131 @@ def test_sweep_csv_rejects_cells_that_disagree_with_counts(field, value):
         parse_sweep_csv(",".join(header) + "\n" + ",".join(row) + "\n")
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda text: text + "\n", "sweep CSV line 3: 0 cells, expected 14"),
+        (lambda text: text.replace(",ag\n", ",ag,1\n"), "sweep CSV line 2: 15 cells, expected 14"),
+        (lambda text: text.replace("2,2,1,8,", "2,2,1,one,"),
+         "sweep CSV line 2: invalid literal for int() with base 10: 'one'"),
+    ],
+    ids=["trailing-blank-line", "extra-cell", "non-integer-count"],
+)
+def test_sweep_csv_refusals_name_their_line(edit, message):
+    text = format_sweep_csv([sweep_point(2, 2, 1)])
+    assert edit(text) != text
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_sweep_csv(edit(text))
+
+
 def test_sweep_csv_rejects_non_positive_counts():
     text = format_sweep_csv([sweep_point(2, 2, 1)])
     zeroed = text.replace(",8,1/2,0.5000,9,", ",0,1/2,0.5000,9,")
     assert zeroed != text
     with pytest.raises(ValueError, match="positive"):
         parse_sweep_csv(zeroed)
+
+
+# -- the renderer against Fraction and csv.writer ------------------------------
+
+
+def _reference_sweep_csv(points):
+    # the exact rates as Fractions and their decimals as float(Fraction), through csv.writer
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SWEEP_CSV_FIELDS)
+    for p in points:
+        row = [str(p.m), str(p.n), str(p.x)]
+        for scheme in SCHEMES:
+            workers = getattr(p, scheme)
+            if workers is None:
+                row += ["unsupported", "", "", ""]
+                continue
+            rate = Fraction(p.m * p.n, workers)
+            bound = [str(p.ag_bound)] if scheme == "ag" else []
+            row += [str(workers), *bound, str(rate), f"{float(rate):.4f}"]
+        counts = {s: getattr(p, s) for s in SCHEMES if getattr(p, s) is not None}
+        writer.writerow([*row, min(counts, key=counts.get)])
+    return buf.getvalue()
+
+
+# both m and n odd, n = 1, and d = m(n - 1) + 2x - 1 < 3 at (2, 1, 1)
+EDGE_GRID = ([1, 2, 3, 4], [1, 2, 3], [1, 2])
+grid_axis = st.lists(st.integers(1, 60), min_size=1, max_size=6)
+
+
+def test_edge_grid_covers_the_unsupported_cases():
+    points, _ = compare_sweep(*EDGE_GRID)
+    assert any(p.m % 2 and p.n % 2 and not p.ag_supported for p in points)
+    assert any(p.n == 1 and p.ag_supported for p in points)
+    assert any(p.m * (p.n - 1) + 2 * p.x - 1 < 3 and not p.ag_supported and p.m % 2 == 0
+               for p in points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m_values=grid_axis, n_values=grid_axis, x_values=grid_axis)
+@example(*EDGE_GRID)
+def test_sweep_csv_matches_the_fraction_renderer(m_values, n_values, x_values):
+    points, _ = compare_sweep(m_values, n_values, x_values)
+    assert format_sweep_csv(points) == _reference_sweep_csv(points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 60), n=st.integers(1, 60), x=st.integers(1, 60),
+    counts=st.lists(st.integers(1, 4000), min_size=4, max_size=4), ag_supported=st.booleans(),
+)
+@example(m=4, n=3, x=1, counts=[4, 5, 6, 12], ag_supported=True)
+def test_point_rows_match_the_fraction_renderer(m, n, x, counts, ag_supported):
+    # any positive counts, so integer rates (N dividing mn) and every tie of best occur,
+    # which no point of compare_sweep reaches
+    ag, ag_bound, a3s, gasp_big = counts
+    point = SweepPoint(m, n, x, ag if ag_supported else None, ag_bound if ag_supported else None,
+                       a3s, gasp_big)
+    assert format_sweep_csv([point]) == _reference_sweep_csv([point])
+
+
+def test_compare_sweep_is_the_public_counts():
+    m_values, n_values, x_values = range(1, 9), range(1, 7), range(1, 5)
+    expected = []
+    for m in m_values:
+        for n in n_values:
+            for x in x_values:
+                try:
+                    ag, ag_bound = workers_ag(m, n, x)
+                except ValueError:
+                    ag, ag_bound = None, None
+                expected.append(SweepPoint(m, n, x, ag, ag_bound, workers_a3s(m, n, x),
+                                           workers_gasp_big(m, n, x)))
+    assert compare_sweep(m_values, n_values, x_values)[0] == expected
+
+
+@pytest.mark.parametrize(
+    "axes,message",
+    [
+        (([0, 2], [1], [1]), "m, n, x must be positive, got (0, 1, 1)"),
+        (([2], [-1, 1], [1]), "m, n, x must be positive, got (2, -1, 1)"),
+        (([2], [1], [0]), "m, n, x must be positive, got (2, 1, 0)"),
+        (([2.5], [1], [1]), "m, n, x must be integers, got (2.5, 1, 1)"),
+        (([2, 3], [1, 2.5], [1]), "m, n, x must be integers, got (2, 2.5, 1)"),
+        ((["2"], [1], [1]), "m, n, x must be integers, got ('2', 1, 1)"),
+    ],
+)
+def test_compare_sweep_refuses_invalid_points(axes, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compare_sweep(*axes)
+
+
+def test_compare_sweep_refuses_a_grid_above_the_cap(monkeypatch):
+    def no_point(*args):
+        raise AssertionError("a point was built")
+
+    monkeypatch.setattr(analysis, "sweep_point", no_point)
+    axes = (range(2, 103), [1, 1, *range(1, 101)], range(1, 101))  # 101 * 100 * 100 points
+    message = f"sweep of 1010000 points exceeds the cap of {SWEEP_POINT_CAP} points"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compare_sweep(*axes)
+    # duplicates are counted once
+    monkeypatch.undo()
+    points, _ = compare_sweep([2, 2], [1, 1], [1, 2, 2])
+    assert [(p.m, p.n, p.x) for p in points] == [(2, 1, 1), (2, 1, 2)]

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 import agsdmm
 from agsdmm import SchemeParams, build_scheme, read_matrix_csv, run_protocol, write_matrix_csv
+from agsdmm.analysis import SWEEP_POINT_CAP
 from agsdmm.cli import main
 from agsdmm.protocol import SecrecyAuditReport
 
@@ -52,12 +54,12 @@ def test_params_invalid_inputs(capsys):
 
 
 
-def _run_module(*args):
+def _run_module(*args, preexec_fn=None):
     # python -m agsdmm in a fresh interpreter, with src/ on its path
     src = str(Path(agsdmm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "agsdmm", *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn)
 
 
 def test_module_entry_point():
@@ -267,6 +269,26 @@ def test_compare_command(tmp_path, capsys):
                  "--out", str(out_path)]) == 1
     assert main(["compare", "--m-range", "x", "--n-range", "1", "--x-range", "1",
                  "--out", str(out_path)]) == 1
+
+
+def _limit_address_space():
+    # 2 GB: a grid that is allocated before the cap is checked fails with a MemoryError
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "m_range,n_range,x_range,points",
+    [("2:3", "1:2", "1:100000000", 400_000_000), ("2:400", "1:400", "1:400", 63_840_000)],
+)
+def test_compare_refuses_a_grid_above_the_cap_before_allocating(tmp_path, m_range, n_range,
+                                                                 x_range, points):
+    out = _run_module("compare", "--m-range", m_range, "--n-range", n_range, "--x-range", x_range,
+                      "--out", str(tmp_path / "s.csv"), preexec_fn=_limit_address_space)
+    assert out.returncode == 1 and "Traceback" not in out.stderr
+    assert out.stderr.splitlines() == [
+        f"error: sweep of {points} points exceeds the cap of {SWEEP_POINT_CAP} points"
+    ]
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_single_value_range(tmp_path):
