@@ -194,9 +194,14 @@ def _check_sweep_size(points: int) -> None:
 
 
 def compare_sweep(m_values, n_values, x_values) -> tuple[list[SweepPoint], SweepSummary]:
-    """Evaluate all three schemes across the given ranges, sorted by (m, n, x)."""
-    m_axis, n_axis, x_axis = axes = [sorted(set(v)) for v in (m_values, n_values, x_values)]
+    """Evaluate all three schemes across the given ranges, sorted by (m, n, x).
+
+    A range axis is counted by len(), so a grid above SWEEP_POINT_CAP is
+    refused before any range is materialised.
+    """
+    axes = [v if isinstance(v, range) else sorted(set(v)) for v in (m_values, n_values, x_values)]
     _check_sweep_size(prod(map(len, axes)))
+    m_axis, n_axis, x_axis = [sorted(v) for v in axes]
     points = [sweep_point(m, n, x) for m in m_axis for n in n_axis for x in x_axis]
     summary = SweepSummary(
         total=len(points),

@@ -10,9 +10,15 @@ has at least FLOOR_REDUCE_MIN entries, and as int64 otherwise; the output is
 int64 either way. Those reductions, and the elimination's and the solves'
 block updates, run in place as x - q (x // q) from FLOOR_REDUCE_MIN entries
 on, since numpy divides by a scalar through libdivide and np.remainder does
-not; smaller arrays keep np.remainder. Every triangular solve, the
-elimination's and both of an LU's, is one blocked lower solve; U is solved
-with its rows and columns reversed. Operands are reduced only where an entry
+not; smaller arrays keep np.remainder. Inside a panel of the elimination
+the reduction is delayed: a panel's trailing block is reduced once every k
+pivots, k the largest number of products of two residues that int64 can
+take on top of a residue, at most PANEL_WIDTH (2 at q = 2^31 - 1). An LU of a
+wide matrix eliminates its leading square first, and the whole matrix only
+when that square is singular. Every triangular solve, the elimination's and
+both of an LU's, is one blocked lower solve; U is solved with its rows and
+columns reversed, L on the elimination's panels with the diagonal-block
+inverses the elimination made. Operands are reduced only where an entry
 lies outside [0, q). The modulus is checked once, at the public entries, to
 be an integer in [2, 2^31); input enters through one int64 intake that
 refuses float, complex and out-of-int64 input from its dtype alone.
@@ -60,12 +66,18 @@ class SingularMatrixError(ValueError):
 
 
 def as_matrix(rows, q: int) -> np.ndarray:
-    """Copy input into an int64 matrix with entries reduced mod q."""
+    """Copy input into an int64 matrix with entries reduced mod q.
+
+    The remainder, itself a copy, runs only where an entry lies outside
+    [0, q); input already reduced is copied once, and only when no cast made
+    a new array of it.
+    """
     q = _check_modulus(q)
-    m = _as_int64(rows)
+    given = np.asarray(rows)
+    m = _reduced(given, q)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    return m % q
+    return m.copy() if m is given else m
 
 
 def matmul_mod(a, b, q: int) -> np.ndarray:
@@ -211,31 +223,58 @@ def echelon(rows, q: int) -> tuple[list[int], np.ndarray, np.ndarray]:
     """
     q = _check_modulus(q)
     a = as_matrix(rows, q)
-    cols, perm = _eliminate(a, q)
+    cols, perm, _ = _eliminate(a, q)
     return cols, np.array(perm, dtype=np.int64), a[:, cols]
 
 
-def _eliminate(a: np.ndarray, q: int) -> tuple[list[int], list[int]]:
+def _reduction_interval(q: int) -> int:
+    """Pivots between reductions of a panel's trailing block.
+
+    That is the largest k <= PANEL_WIDTH with k (q - 1)^2 <= 2^63 - q: 9 at
+    q = 1000000007, 2 at q = 2^31 - 1, and PANEL_WIDTH below q = 2^29.
+
+    Each pivot subtracts a product of two residues, at most (q - 1)^2, from
+    entries in [0, q), so k of them leave every entry in [-2^63 + q, 2^63),
+    where _reduce_in_place is exact.
+    """
+    return min(PANEL_WIDTH, (INT64_EXACT - q) // (q - 1) ** 2)
+
+
+def _eliminate(a: np.ndarray, q: int) -> tuple[list[int], list[int], list]:
     """Blocked first-nonzero-pivot elimination of a reduced int64 matrix, in place.
 
     Columns are taken PANEL_WIDTH at a time. Inside a panel each pivot
     updates only the panel, storing its multipliers below the pivot as in
-    LAPACK's getrf; each panel then updates every column to its right with a
-    triangular solve on its pivot rows and one product mod q for the rows
-    below them. The pivots are those of the unblocked greedy elimination.
+    LAPACK's getrf. The panel's trailing block is reduced only every
+    _reduction_interval(q) pivots, which below q = 2^29 is PANEL_WIDTH, so
+    never inside a panel; a pivot reduces just its own column and its row's
+    segment, before it uses them. Each panel then updates every column to
+    its right with its L11 inverse on its pivot rows and one product mod q
+    for the rows below them. The pivots are those of the unblocked greedy
+    elimination.
+
+    Returns (cols, perm, panels): panels lists (r0, r1, inverse) per panel
+    with pivots, for its pivot rows r0:r1 and the inverse of their unit
+    lower L11, None for the last panel, which has no columns to its right to
+    update. The panels tile the rows 0:rank.
     """
     k, n = a.shape
     cols: list[int] = []
     perm = list(range(k))
+    panels = []
+    interval = _reduction_interval(q)
     for j0 in range(0, n, PANEL_WIDTH):
         r0 = len(cols)
         if r0 == k:
             break
         j1 = min(j0 + PANEL_WIDTH, n)
+        pending = 0
         for c in range(j0, j1):
             r = len(cols)
-            if not a[r, c]:
-                nz = np.flatnonzero(a[r:, c])
+            column = a[r:, c]
+            _reduce_in_place(column, q)
+            if not column[0]:
+                nz = np.flatnonzero(column)
                 if nz.size == 0:
                     continue
                 p = r + int(nz[0])
@@ -244,22 +283,35 @@ def _eliminate(a: np.ndarray, q: int) -> tuple[list[int], list[int]]:
             cols.append(c)
             if r + 1 == k:
                 break
-            factors = a[r + 1:, c] * pow(int(a[r, c]), -1, q) % q
-            a[r + 1:, c] = factors
+            factors = column[1:]
+            factors *= pow(int(column[0]), -1, q)
+            _reduce_in_place(factors, q)
+            if c + 1 == j1:
+                break
+            row = a[r, c + 1:j1]
+            _reduce_in_place(row, q)
             trail = a[r + 1:, c + 1:j1]
-            trail -= factors[:, None] * a[r, c + 1:j1]
-            _reduce_in_place(trail, q)
+            trail -= factors[:, None] * row
+            pending += 1
+            if pending == interval:
+                _reduce_in_place(trail, q)
+                pending = 0
         r1 = len(cols)
-        if r1 == r0 or r1 == k or j1 == n:
+        if r1 == r0:
+            continue
+        if r1 == k or j1 == n:
+            panels.append((r0, r1, None))
             continue
         # U12 = L11^-1 A12 on the panel's pivot rows, then A22 -= L21 U12
         pivots = cols[r0:r1]
+        inverse = _triangular_inverse(_unit_lower(a[r0:r1, pivots]), q)
+        panels.append((r0, r1, inverse))
         u = a[r0:r1, j1:]
-        _solve_lower(_unit_lower(a[r0:r1, pivots]), u, q)
+        u[:] = _matmul_reduced(inverse, u, q)
         below = a[r1:, j1:]
         below -= _matmul_reduced(a[r1:, pivots], u, q)
         _reduce_in_place(below, q)
-    return cols, perm
+    return cols, perm, panels
 
 
 class LUFactorization:
@@ -270,28 +322,40 @@ class LUFactorization:
     matrix, S is the matrix itself. L is unit lower triangular and stored
     below the diagonal of U in a single array; the row permutation P comes
     from first-nonzero pivoting. One elimination gives both the columns and
-    the factors.
+    the factors: that of the leading k x k square when it has rank k, since
+    its columns are then the greedy leftmost ones and its pivots and factors
+    those of the whole matrix, and else that of the whole matrix. The
+    elimination's L11 block inverses are kept for the L solves.
     """
 
     def __init__(self, rows, q: int):
         q = _check_modulus(q)
-        cols, perm, lu = echelon(rows, q)
-        k = lu.shape[0]
+        m = _as_int64(rows)
+        if m.ndim != 2:
+            raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
+        k = m.shape[0]
+        a = as_matrix(m[:, :k], q)
+        cols, perm, panels = _eliminate(a, q)
+        if len(cols) < k < m.shape[1]:
+            a = as_matrix(m, q)
+            cols, perm, panels = _eliminate(a, q)
         if len(cols) < k:
             raise SingularMatrixError(len(cols), k)
         self.q = q
         self.size = k
         self.columns = cols
-        self._lu = lu
-        self._perm = perm
+        self._lu = a[:, cols]
+        self._perm = np.array(perm, dtype=np.int64)
+        self._panels = panels
 
     def inverse_columns(self, columns) -> np.ndarray:
         """The listed columns of S^-1, in the order given (size x len(columns)).
 
         With P S = L U, the columns X of S^-1 solve S X = E for E the matching
         columns of the identity: first L Y = P E, then U X = Y. Both are
-        blocked lower solves; U X = Y is one with the rows and columns of U
-        and the rows of X reversed.
+        blocked lower solves: L Y = P E on the elimination's panels, with
+        their L11 inverses, and U X = Y with the rows and columns of U and the
+        rows of X reversed.
         """
         n, q, lu = self.size, self.q, self._lu
         columns = [int(c) for c in columns]
@@ -299,9 +363,15 @@ class LUFactorization:
             raise ValueError(f"column indices must lie in [0, {n}), got {columns}")
         where = np.empty(n, dtype=np.int64)
         where[self._perm] = np.arange(n)
+        rows = where[columns]
         x = np.zeros((n, len(columns)), dtype=np.int64)
-        x[where[columns], np.arange(len(columns))] = 1
-        _solve_lower(_unit_lower(lu), x, q)
+        x[rows, np.arange(len(columns))] = 1
+        # Y stays zero above the first row where P E is not, so the L solve
+        # starts at the panel that holds that row
+        first = int(rows.min(initial=n))
+        s = next((r0 for r0, r1, _ in self._panels if r1 > first), n)
+        _solve_lower(_unit_lower(lu[s:, s:]), x[s:], q,
+                     [(r0 - s, r1 - s, inverse) for r0, r1, inverse in self._panels if r0 >= s])
         _solve_lower(np.triu(lu)[::-1, ::-1], x[::-1], q)
         return x
 
@@ -314,21 +384,27 @@ def _unit_lower(lu: np.ndarray) -> np.ndarray:
     return lower
 
 
-def _solve_lower(t: np.ndarray, x: np.ndarray, q: int) -> None:
+def _solve_lower(t: np.ndarray, x: np.ndarray, q: int, blocks=None) -> None:
     """x <- t^-1 x mod q in place, for t lower triangular with a nonzero diagonal.
 
-    Rows are taken PANEL_WIDTH at a time: one product mod q removes the rows
+    Rows are taken a block at a time: one product mod q removes the rows
     already solved, and one more applies the inverse of the diagonal block.
+    blocks lists (i0, i1, inverse) tiling the rows, where an inverse already
+    made may be given, as _eliminate's panels give theirs, and None has it
+    computed here; by default the blocks are PANEL_WIDTH rows, all None.
     x may be a view, a reversed one included; it is written through.
     """
     n = t.shape[0]
-    for i0 in range(0, n, PANEL_WIDTH):
-        i1 = min(i0 + PANEL_WIDTH, n)
+    if blocks is None:
+        blocks = [(i0, min(i0 + PANEL_WIDTH, n), None) for i0 in range(0, n, PANEL_WIDTH)]
+    for i0, i1, inverse in blocks:
         block = x[i0:i1]
         if i0:
             block -= _matmul_reduced(t[i0:i1, :i0], x[:i0], q)
             _reduce_in_place(block, q)
-        block[:] = _matmul_reduced(_triangular_inverse(t[i0:i1, i0:i1], q), block, q)
+        if inverse is None:
+            inverse = _triangular_inverse(t[i0:i1, i0:i1], q)
+        block[:] = _matmul_reduced(inverse, block, q)
 
 
 def _triangular_inverse(t: np.ndarray, q: int) -> np.ndarray:

@@ -36,6 +36,12 @@ from . import linalg
 from .field import check_odd_prime, is_prime
 from .function_field import evaluation_matrix, scan_run_x, select_distinct_x_places
 
+# the largest pole table, (m + x)(n + x) entries, and evaluation matrix,
+# N (code_degree + 1) int64 entries, that derive_parameters and build_scheme
+# will make; (32, 32, 16) needs 2,304 entries and 27 MB, (200, 200, 10) 27 GB
+POLE_TABLE_CAP = 10**6
+EVALUATION_BYTES_CAP = 2**30
+
 
 @dataclass(frozen=True)
 class SchemeParams:
@@ -213,8 +219,15 @@ def pole_sequences(m: int, n: int, x: int) -> tuple[int, tuple[int, ...], tuple[
 
 
 def derive_parameters(m: int, n: int, x: int) -> PoleStructure:
-    """Pole structure for partition counts m, n (one of them even) and collusion x."""
+    """Pole structure for partition counts m, n (one of them even) and collusion x.
+
+    Refuses a pole table of more than POLE_TABLE_CAP entries before building it.
+    """
     m, n, swapped = orient(m, n, x)
+    entries = (m + x) * (n + x)
+    if entries > POLE_TABLE_CAP:
+        raise ValueError(
+            f"pole table of {entries} entries exceeds the cap of {POLE_TABLE_CAP} entries")
     d, phi, gamma = pole_sequences(m, n, x)
     recovery = tuple(sorted(phi[x + j] + gamma[x + jp] for j in range(m) for jp in range(n)))
     poles = PoleStructure(
@@ -406,8 +419,16 @@ def check_field_order(poles: PoleStructure, q: int) -> None:
 
 
 def build_scheme(params: SchemeParams) -> SchemeInstance:
-    """Derive the pole structure, pick the field, and assemble the full scheme."""
+    """Derive the pole structure, pick the field, and assemble the full scheme.
+
+    An evaluation matrix of more than EVALUATION_BYTES_CAP bytes is refused
+    before the field search.
+    """
     poles = derive_parameters(params.m, params.n, params.x)
+    size = (poles.n_workers, poles.code_degree + 1)
+    if 8 * math.prod(size) > EVALUATION_BYTES_CAP:
+        raise ValueError(f"evaluation matrix of {size[0]} x {size[1]} int64 entries "
+                         f"exceeds the cap of {EVALUATION_BYTES_CAP} bytes")
 
     if params.q is None:
         q = smallest_admissible_field(poles.d, poles.code_degree + 1)

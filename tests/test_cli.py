@@ -13,6 +13,7 @@ from agsdmm import SchemeParams, build_scheme, read_matrix_csv, run_protocol, wr
 from agsdmm.analysis import SWEEP_POINT_CAP
 from agsdmm.cli import main
 from agsdmm.protocol import SecrecyAuditReport
+from agsdmm.scheme import EVALUATION_BYTES_CAP, POLE_TABLE_CAP
 
 
 def test_params_json(capsys):
@@ -54,12 +55,16 @@ def test_params_invalid_inputs(capsys):
 
 
 
-def _run_module(*args, preexec_fn=None):
-    # python -m agsdmm in a fresh interpreter, with src/ on its path
+def _run_python(*args, preexec_fn=None):
+    # a fresh interpreter with src/ on its path
     src = str(Path(agsdmm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "agsdmm", *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn)
+
+
+def _run_module(*args, preexec_fn=None):
+    return _run_python("-m", "agsdmm", *args, preexec_fn=preexec_fn)
 
 
 def test_module_entry_point():
@@ -289,6 +294,47 @@ def test_compare_refuses_a_grid_above_the_cap_before_allocating(tmp_path, m_rang
         f"error: sweep of {points} points exceeds the cap of {SWEEP_POINT_CAP} points"
     ]
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (("params", "--m", "20000", "--n", "20000", "--x", "1"),
+     f"pole table of 400040001 entries exceeds the cap of {POLE_TABLE_CAP} entries"),
+    (("build", "--m", "2", "--n", "2", "--x", "20000"),
+     f"pole table of 400080004 entries exceeds the cap of {POLE_TABLE_CAP} entries"),
+    (("build", "--m", "200", "--n", "200", "--x", "10"),
+     "evaluation matrix of 42218 x 80037 int64 entries exceeds the cap of "
+     f"{EVALUATION_BYTES_CAP} bytes"),
+])
+def test_huge_parameters_are_refused_before_allocating(tmp_path, args, message):
+    # each would end in a MemoryError within the 2 GB limit, or grow past it
+    # without one (the last needs 27 GB for its evaluation matrix alone)
+    if args[0] == "build":
+        args += ("--out", str(tmp_path / "s.json"))
+    out = _run_module(*args, preexec_fn=_limit_address_space)
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_a_huge_descriptor_is_refused_before_allocating(tmp_path):
+    # load_scheme rebuilds what a descriptor names, through the same caps
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"m": 200, "n": 200, "X": 10, "q": 80039}))
+    out = _run_module("multiply", "--scheme", str(path), "--a", "a.csv", "--b", "b.csv",
+                      "--out", str(tmp_path / "c.csv"), preexec_fn=_limit_address_space)
+    assert out.returncode == 1 and out.stderr.splitlines() == [
+        f"error: evaluation matrix of 42218 x 80037 int64 entries exceeds the cap of "
+        f"{EVALUATION_BYTES_CAP} bytes"]
+
+
+def test_compare_sweep_counts_a_range_before_materialising_it():
+    # a direct call, which no CLI range check precedes, in a 2 GB address space
+    script = ("from agsdmm import compare_sweep\n"
+              "try:\n    compare_sweep(range(10**8), [1], [1])\n"
+              "except ValueError as exc:\n    raise SystemExit(f'error: {exc}')\n")
+    out = _run_python("-c", script, preexec_fn=_limit_address_space)
+    assert out.returncode == 1 and out.stderr.splitlines() == [
+        f"error: sweep of 100000000 points exceeds the cap of {SWEEP_POINT_CAP} points"]
 
 
 def test_single_value_range(tmp_path):

@@ -22,8 +22,10 @@ from agsdmm.linalg import PANEL_WIDTH, echelon
 # float32 BLAS at every inner length (13), float32 up to inner length 16 and
 # float64 BLAS from 17 on (1009; both reduce as int32 where a result is large
 # enough), int64 (one term already exceeds 2^53), and int64 in 16-bit limbs
-# (two terms exceed 2^63), which includes the largest supported field
-TIER_PRIMES = (13, 1009, 134217689, 2**31 - 1)
+# (two terms exceed 2^63), which includes the largest supported field; and
+# per reduction interval of the elimination's trailing block: PANEL_WIDTH
+# pivots up to 134217689, 9 at 1000000007 and 2 at 2^31 - 1
+TIER_PRIMES = (13, 1009, 134217689, 1000000007, 2**31 - 1)
 
 
 def test_rank_examples():
@@ -139,6 +141,78 @@ def test_lu_of_a_wide_matrix_factors_its_information_set():
     assert lu.columns == [0, 2]
     inv = lu.inverse_columns(range(2))
     assert np.array_equal(m[:, lu.columns] @ inv % q, np.eye(2, dtype=np.int64))
+
+
+def _recorded_eliminations(monkeypatch):
+    shapes = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda a, q: shapes.append(a.shape) or eliminate(a, q))
+    return shapes
+
+
+@pytest.mark.parametrize("q", TIER_PRIMES)
+def test_lu_of_a_wide_matrix_factors_its_leading_square_first(q, monkeypatch):
+    # with a leading k x k square of rank k, its elimination alone gives the
+    # columns, rows and factors of the whole matrix's; with a singular one the
+    # whole matrix is eliminated after it, and both agree with echelon
+    shapes = _recorded_eliminations(monkeypatch)
+    rng = np.random.default_rng(11)
+    k = PANEL_WIDTH + 5
+    for singular in (False, True):
+        a = rng.integers(0, q, size=(k, 2 * k + 3))
+        a[:, :k] = _random_invertible(rng, q, k)
+        if singular:
+            a[:, k - 3] = (a[:, 0] + 2 * a[:, 1]) % q
+        shapes.clear()
+        lu = LUFactorization(a, q)
+        assert shapes == ([(k, k), a.shape] if singular else [(k, k)])
+        cols, perm, factors = echelon(a, q)
+        assert lu.columns == cols == (list(range(k)) if not singular
+                                      else [c for c in range(k + 1) if c != k - 3])
+        assert np.array_equal(lu._perm, perm) and np.array_equal(lu._lu, factors)
+        got = lu.inverse_columns(range(k))
+        assert np.array_equal(_exact(a[:, cols]) @ _exact(got) % q, np.eye(k, dtype=np.int64))
+
+
+def test_lu_keeps_the_elimination_block_inverses(monkeypatch):
+    # the L solve of inverse_columns reuses every panel's L11 inverse: only
+    # the last panel's, which the elimination had no use for, is made there,
+    # and the U solve makes one per block of U; the L solve skips the panels
+    # above the first row where P E is not zero
+    q, n = 1009, 3 * PANEL_WIDTH + 5
+    v = _random_invertible(np.random.default_rng(4), q, n)
+    lu = LUFactorization(v, q)
+    assert [(r0, r1, inv is None) for r0, r1, inv in lu._panels] == [
+        (0, PANEL_WIDTH, False), (PANEL_WIDTH, 2 * PANEL_WIDTH, False),
+        (2 * PANEL_WIDTH, 3 * PANEL_WIDTH, False), (3 * PANEL_WIDTH, n, True)]
+    made = []
+    inverse = linalg._triangular_inverse
+    monkeypatch.setattr(linalg, "_triangular_inverse",
+                        lambda t, q: made.append(t.shape[0]) or inverse(t, q))
+    sizes = []
+    solve = linalg._solve_lower
+    monkeypatch.setattr(linalg, "_solve_lower",
+                        lambda t, x, q, blocks=None: sizes.append(len(t)) or solve(t, x, q, blocks))
+    for columns in ([0, n - 1], lu._perm[-3:].tolist()):
+        made.clear()
+        sizes.clear()
+        got = lu.inverse_columns(columns)
+        assert made == [5] + [PANEL_WIDTH, PANEL_WIDTH, PANEL_WIDTH, 5]
+        assert np.array_equal(_exact(v) @ _exact(got) % q, np.eye(n, dtype=np.int64)[:, columns])
+    # P E is zero above its last 3 rows, and so is L^-1 P E: the L solve
+    # starts at the last panel
+    assert sizes == [5, n]
+
+
+def test_as_matrix_copies_reduced_input_without_a_remainder():
+    rows = np.arange(12, dtype=np.int64).reshape(3, 4)
+    out = linalg.as_matrix(rows, 13)
+    assert np.array_equal(out, rows) and not np.shares_memory(out, rows)
+    out[0, 0] = 5
+    assert rows[0, 0] == 0
+    assert linalg.as_matrix(rows.astype(np.int32), 13).dtype == np.int64
+    assert linalg.as_matrix(rows - 13, 13).tolist() == rows.tolist()
 
 
 def test_singular_matrix_error_names_rank():
@@ -536,9 +610,42 @@ def _assert_matches_reference(a, q):
     assert np.array_equal(_exact(a)[perm][:, cols] % q, low @ up % q)
 
 
+@pytest.mark.parametrize("q,interval", [
+    (13, PANEL_WIDTH), (1009, PANEL_WIDTH), (134217689, PANEL_WIDTH), (617, PANEL_WIDTH),
+    (3203, PANEL_WIDTH), (1000000007, 9), (2**31 - 19, 2), (2**31 - 1, 2),
+])
+def test_reduction_interval_is_the_largest_exact_one(q, interval):
+    # k pivots subtract at most k (q - 1)^2 from entries in [0, q), which must
+    # stay in [-2^63 + q, 2^63) for _reduce_in_place; one more would not
+    k = linalg._reduction_interval(q)
+    assert k == interval
+    assert k * (q - 1) ** 2 <= 2**63 - q
+    assert k == PANEL_WIDTH or (k + 1) * (q - 1) ** 2 > 2**63 - q
+
+
+@pytest.mark.parametrize("q", TIER_PRIMES)
+@pytest.mark.parametrize("extra", [0, 5])
+def test_echelon_at_the_largest_trailing_updates(q, extra):
+    # A = L U with every multiplier of L and every entry of U above its unit
+    # diagonal q - 1: each pivot subtracts the most a pivot can, (q - 1)^2,
+    # from every entry of its trailing block, so one pivot past the reduction
+    # interval would wrap int64 at 2^31 - 1; extra columns of zeros make A wide
+    n = 2 * PANEL_WIDTH + 3
+    low = np.tril(np.full((n, n), q - 1, dtype=object), -1) + np.eye(n, dtype=object)
+    up = np.triu(np.full((n, n), q - 1, dtype=object), 1) + np.eye(n, dtype=object)
+    a = np.zeros((n, n + extra), dtype=np.int64)
+    a[:, :n] = (low @ up % q).astype(np.int64)
+    cols, perm, lu = echelon(a, q)
+    assert cols == list(range(n)) and perm.tolist() == list(range(n))
+    assert np.array_equal(lu, (low + up - np.eye(n, dtype=object)).astype(np.int64))
+    _assert_matches_reference(a, q)
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=_rank_deficient())
 def test_echelon_matches_unblocked_reference(case):
+    # q comes from every reduction interval: PANEL_WIDTH, 9 (an intermediate
+    # one when the width is PANEL_WIDTH) and 2
     a, q, width = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "PANEL_WIDTH", width)
@@ -550,8 +657,10 @@ def test_echelon_matches_unblocked_reference(case):
 def test_echelon_trailing_update_in_every_tier(q, width, monkeypatch):
     # k = width + 2 rows leave rows below a full panel of pivots, so a panel's
     # product has inner length width: float32 for 13, float32 at width 3 and
-    # float64 at width 32 for 1009, int64 for 134217689 and int64 in limbs
-    # for 2^31 - 1
+    # float64 at width 32 for 1009, int64 for 134217689, and int64 in limbs
+    # for 1000000007 (int64 at width 3) and 2^31 - 1; at width 32 a full
+    # panel reduces its trailing block after 9 pivots at 1000000007 and after
+    # every 2 at 2^31 - 1
     inner = []
     product = linalg._matmul_reduced
     monkeypatch.setattr(linalg, "PANEL_WIDTH", width)

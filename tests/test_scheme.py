@@ -330,6 +330,22 @@ def test_build_auto_field_4_3_2(inst432):
     assert rank(_v_matrix(inst432), inst432.q) == 24
 
 
+def test_caps_sit_above_every_documented_build(monkeypatch):
+    # (32, 32, 16) is the largest build on record; one entry or byte less
+    # than it needs is refused, before any field search
+    poles = derive_parameters(32, 32, 16)
+    entries, size = 48 * 48, poles.n_workers * (poles.code_degree + 1)
+    assert entries < scheme.POLE_TABLE_CAP and 8 * size < scheme.EVALUATION_BYTES_CAP
+    monkeypatch.setattr(scheme, "POLE_TABLE_CAP", entries - 1)
+    with pytest.raises(ValueError, match=f"^pole table of {entries} entries exceeds the cap of "):
+        derive_parameters(32, 32, 16)
+    monkeypatch.undo()
+    monkeypatch.setattr(scheme, "EVALUATION_BYTES_CAP", 8 * size - 1)
+    monkeypatch.setattr(scheme, "smallest_admissible_field", None)
+    with pytest.raises(ValueError, match=r"^evaluation matrix of 1598 x 2109 int64 entries "):
+        build_scheme(SchemeParams(32, 32, 16))
+
+
 def test_smallest_admissible_field_search():
     # d = 3 needs 9 distinct-x places: 5, 7, 11, 13 are all too small
     assert smallest_admissible_field(3, 9) == 17
@@ -367,6 +383,13 @@ DECODER_DIGESTS = {
                 "567ab91bb96dd3afb0a7ef8ea73ce35dd130a10e2976750e950f54e35db69db1"),
     (14, 14, 10): ("5b6e4556859582ca34c7017b4c6bfa3ac56273c782bc75b57eae8cdc99c949e1",
                    "3d592e39bb8d35b4c1fe503475071532f4329d205f15d6f1fe3b47e97bae8709"),
+    # the leading N candidates are not an information set at these two, so the
+    # decoder comes from the elimination of all code_degree + 1 of them;
+    # recorded while every build eliminated all of them
+    (4, 6, 1): ("25e31bcf90e3c2b15cac8da1c1520be26727b1506461b02d2b5fd09d0390fa72",
+                "edd751bf5ccfec43ad32b48da3493f8c5afffd2d14dc2516698135c81159ae6a"),
+    (6, 6, 1): ("15a7aa8f8ce822f8633f938dba16dfcb1ca908acebfd541e5dcff3b4cad4c4a4",
+                "544f5ef5cce70f2388f40f41e34a64eb7a5b4d6046eec03e0687dba4d5135a0b"),
 }
 
 
@@ -455,7 +478,8 @@ def test_pinned_digests_hold_with_ragged_encode_chunks(params, monkeypatch):
 
 def test_build_runs_one_elimination(monkeypatch):
     # the information set and the decoder's factorization share one elimination
-    # of the one evaluation of the basis at the candidate places
+    # of the one evaluation of the basis at the candidate places: that of its
+    # leading N x N square, which has rank N at both points
     calls, evaluations = [], []
     eliminate = agsdmm.linalg._eliminate
     monkeypatch.setattr(agsdmm.linalg, "_eliminate",
@@ -472,7 +496,22 @@ def test_build_runs_one_elimination(monkeypatch):
         calls.clear()
         evaluations.clear()
         inst = build_scheme(SchemeParams(*params))
-        assert calls == evaluations == [(inst.n_workers, inst.poles.code_degree + 1)]
+        assert evaluations == [(inst.n_workers, inst.poles.code_degree + 1)]
+        assert calls == [(inst.n_workers, inst.n_workers)]
+
+
+@pytest.mark.parametrize("params", [(4, 6, 1), (6, 6, 1)])
+def test_build_falls_back_to_the_wide_elimination(params, monkeypatch):
+    # the leading N candidates are not an information set here, so after the
+    # square's elimination the build eliminates all code_degree + 1 of them
+    calls = []
+    eliminate = agsdmm.linalg._eliminate
+    monkeypatch.setattr(agsdmm.linalg, "_eliminate",
+                        lambda a, q: calls.append(a.shape) or eliminate(a, q))
+    inst = build_scheme(SchemeParams(*params))
+    n = inst.n_workers
+    assert calls == [(n, n), (n, inst.poles.code_degree + 1)]
+    assert inst.column_indices[-1] >= n
 
 
 def _usable_x_reference(d, q):
