@@ -57,6 +57,20 @@ def _power(v: np.ndarray, e: int, q: int) -> np.ndarray:
     return out
 
 
+def _power_table(v: np.ndarray, count: int, q: int) -> np.ndarray:
+    """T[k, i] = v[i]^k mod q for k < count, by doubling: rows [s, 2s) are rows [0, s) times v^s."""
+    table = np.empty((count, len(v)), dtype=np.int64)
+    table[:1] = 1
+    filled = 1
+    while filled < count:
+        step = min(filled, count - filled)
+        block = table[filled:filled + step]
+        np.multiply(table[:step], table[filled - 1] * v % q, out=block)
+        block %= q
+        filled += step
+    return table
+
+
 def _square_roots(v: np.ndarray, q: int) -> np.ndarray:
     """The smallest square root of each square in v, by constant-time Tonelli-Shanks.
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import _power, _square_roots
+from .field import _power, _power_table, _square_roots
 
 # x-coordinates examined per numpy step of the place scan
 SCAN_CHUNK = 4096
@@ -73,10 +73,7 @@ def evaluation_matrix(q: int, d: int, pole_orders, places) -> np.ndarray:
         gap = w[a < 0][0]
         raise ValueError(f"{gap} is a gap for d={d}; no function has that pole order")
     xs, ys = places[:, 0], places[:, 1]
-    powers = np.ones((a.max(initial=0) + 1, len(xs)), dtype=np.int64)
-    for k in range(1, len(powers)):
-        powers[k] = powers[k - 1] * xs % q
-    rows = powers[a]
+    rows = _power_table(xs, a.max(initial=0) + 1, q)[a]
     rows[b == 1] = rows[b == 1] * ys % q
     return rows
 

@@ -13,12 +13,12 @@ on, since numpy divides by a scalar through libdivide and np.remainder does
 not; smaller arrays keep np.remainder. Inside a panel of the elimination
 the reduction is delayed: a panel's trailing block is reduced once every k
 pivots, k the largest number of products of two residues that int64 can
-take on top of a residue, at most PANEL_WIDTH (2 at q = 2^31 - 1). An LU of a
-wide matrix eliminates its leading square first, and the whole matrix only
-when that square is singular. Every triangular solve, the elimination's and
-both of an LU's, is one blocked lower solve; U is solved with its rows and
-columns reversed, L on the elimination's panels with the diagonal-block
-inverses the elimination made. Operands are reduced only where an entry
+take on top of a residue, at most PANEL_WIDTH (2 at q = 2^31 - 1). Every
+triangular solve, the elimination's and both of an LU's, is one blocked
+lower solve; U is solved with its rows and columns reversed, L on the
+elimination's panels with the diagonal-block inverses the elimination made.
+Rows of the inverse of a Vandermonde matrix have a closed form and take no
+elimination (_inverse_vandermonde). Operands are reduced only where an entry
 lies outside [0, q). The modulus is checked once, at the public entries, to
 be an integer in [2, 2^31); input enters through one int64 intake that
 refuses float, complex and out-of-int64 input from its dtype alone.
@@ -32,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .field import _MODULUS_CAP
+from .field import _MODULUS_CAP, _power_table
 
 SUBMATRIX_CHECK_CAP = 10**6
 # a product's sums below these bounds are exact in float32, int32, float64 and int64
@@ -321,24 +321,16 @@ class LUFactorization:
     (columns) of a full-row-rank k x n matrix; for an invertible square
     matrix, S is the matrix itself. L is unit lower triangular and stored
     below the diagonal of U in a single array; the row permutation P comes
-    from first-nonzero pivoting. One elimination gives both the columns and
-    the factors: that of the leading k x k square when it has rank k, since
-    its columns are then the greedy leftmost ones and its pivots and factors
-    those of the whole matrix, and else that of the whole matrix. The
-    elimination's L11 block inverses are kept for the L solves.
+    from first-nonzero pivoting. One elimination of the matrix gives both the
+    columns and the factors; it stops at the panel where the rank reaches k.
+    The elimination's L11 block inverses are kept for the L solves.
     """
 
     def __init__(self, rows, q: int):
         q = _check_modulus(q)
-        m = _as_int64(rows)
-        if m.ndim != 2:
-            raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-        k = m.shape[0]
-        a = as_matrix(m[:, :k], q)
+        a = as_matrix(rows, q)
+        k = a.shape[0]
         cols, perm, panels = _eliminate(a, q)
-        if len(cols) < k < m.shape[1]:
-            a = as_matrix(m, q)
-            cols, perm, panels = _eliminate(a, q)
         if len(cols) < k:
             raise SingularMatrixError(len(cols), k)
         self.q = q
@@ -427,6 +419,92 @@ def _triangular_inverse(t: np.ndarray, q: int) -> np.ndarray:
         inv = _matmul_reduced(inv, power + eye, q)
         span *= 2
     return inv * diag_inv % q
+
+
+def _root_polynomial(xs: np.ndarray, q: int) -> np.ndarray:
+    """Coefficients of prod_i (t - xs[i]) mod q for n >= 1 roots, lowest degree first.
+
+    A product tree, one numpy pass per level, over blocks of at most
+    PANEL_WIDTH roots (padded with factors 1); then one product mod q per
+    block, of a sliding window over the running product.
+    """
+    n = len(xs)
+    s = min(PANEL_WIDTH, 1 << (n - 1).bit_length())
+    count = -(-n // s)
+    polys = np.zeros((count * s, 2), dtype=np.int64)
+    polys[:, 0] = 1
+    polys[:n, 0] = -xs % q
+    polys[:n, 1] = 1
+    while len(polys) > count:
+        pairs, w = len(polys) // 2, polys.shape[1]
+        outer = polys[0::2, :, None] * polys[1::2, None, :]
+        _reduce_in_place(outer, q)
+        shifted = np.zeros((pairs, w, 2 * w), dtype=np.int64)
+        shifted[:, :, :w] = outer
+        shifted = shifted.reshape(pairs, -1)[:, :w * (2 * w - 1)].reshape(pairs, w, 2 * w - 1)
+        polys = shifted.sum(axis=1) % q
+    if count == 1:
+        return polys[0, :n + 1]
+    # window k over buffer[s:s + length] is entries k - s..k of the running product
+    buffer = np.zeros((count + 1) * s + 1, dtype=np.int64)
+    buffer[s:2 * s + 1] = polys[0]
+    windows = np.lib.stride_tricks.sliding_window_view(buffer, s + 1)
+    length = s + 1
+    for block in polys[1:]:
+        length += s
+        buffer[s:s + length] = _matmul_reduced(windows[:length], block[::-1, None], q)[:, 0]
+    return buffer[s:s + n + 1].copy()
+
+
+def _inverse_vandermonde(xs: np.ndarray, rows, q: int) -> np.ndarray:
+    """The listed distinct rows of W^-1 mod q, in the order given, for W[i, k] = xs[i]^k, n x n.
+
+    Column i is the Lagrange polynomial L(t) / ((t - x_i) L'(x_i)), L = prod
+    (t - x_j) = sum l_k t^k: W^-1[k, i] = U[k, i] / L'(x_i), U[n - 1] = 1 and
+    U[k - 1] = l_k + x_i U[k]. PANEL_WIDTH steps of that recurrence, and of
+    Horner's rule for L', are one product mod q of a Toeplitz block of l with
+    powers of x. O(n^2) work, no n x n temporary; refuses repeated xs.
+    """
+    xs = _reduced(xs, q)
+    n = len(xs)
+    rows = np.asarray(rows, dtype=np.int64)
+    coeffs = _root_polynomial(xs, q)
+    slope = np.arange(1, n + 1) * coeffs[1:] % q  # L' = sum_k slope[k] t^k
+    # position of each row of U in the output, -1 where it is not asked for
+    where = np.full(n, -1, dtype=np.int64)
+    where[rows] = np.arange(len(rows))
+    if np.count_nonzero(where >= 0) != len(rows):
+        raise ValueError("the rows asked for must be distinct")
+    out = np.empty((len(rows), n), dtype=np.int64)
+    steps = max(1, min(PANEL_WIDTH, n - 1))
+    powers = _power_table(xs, steps + 1, q)
+    lag = np.subtract.outer(np.arange(steps), np.arange(steps))
+    u = np.ones(n, dtype=np.int64)
+    derivative = np.full(n, slope[-1], dtype=np.int64)
+    if where[n - 1] >= 0:
+        out[where[n - 1]] = u
+    for k in range(n - 1, 0, -steps):
+        s = min(steps, k)
+        # row j - 1 is l_{k-j+e+1} at e < j, for U[k - j]; row s is slope[k - s + e]
+        factors = np.empty((s + 1, s), dtype=np.int64)
+        factors[:s] = np.where(lag[:s, :s] >= 0, coeffs[k - lag[:s, :s].clip(0)], 0)
+        factors[s] = slope[k - s:k]
+        block = _matmul_reduced(factors, powers[:s], q)
+        quotients = block[:s]
+        quotients += powers[1:s + 1] * u
+        _reduce_in_place(quotients, q)
+        place = where[k - 1:k - s - 1 if k > s else None:-1]
+        wanted = place >= 0
+        out[place[wanted]] = quotients[wanted]
+        derivative *= powers[s]
+        derivative += block[s]
+        derivative %= q
+        u = quotients[-1]
+    if not derivative.all():
+        raise ValueError("the Vandermonde points must be distinct mod q")
+    out *= np.array([pow(v, -1, q) for v in derivative.tolist()], dtype=np.int64)
+    _reduce_in_place(out, q)
+    return out
 
 
 def all_square_submatrices_invertible(rows, q: int) -> bool:

@@ -6,10 +6,10 @@ determines the worker count N (its number of distinct entries) and which
 table cells carry the data products. A field size is then chosen so the
 curve has enough places with pairwise distinct x-coordinates, N of them are
 picked as an information set, and the resulting N x N evaluation matrix
-drives both encoding and decoding. The basis is evaluated once, at the
-candidate places; the information set, the evaluation matrix, the decoder and
-both sides' encoding coefficients all come from that one evaluation and its
-one elimination.
+drives both encoding and decoding. When the leading N candidates are an
+information set, the decoder takes one B x B elimination
+(_leading_square_decoder); otherwise one elimination of the basis evaluated
+at every candidate picks the greedy leftmost information set.
 
 Matrices to be multiplied are plain integer arrays taken mod q. Matrix A is
 always cut into m row blocks and B into n column blocks; each worker receives
@@ -289,6 +289,49 @@ class EncodedShares:
         return len(self.shares)
 
 
+def _leading_square_decoder(q: int, poles: PoleStructure, places: np.ndarray, recovery):
+    """Rows `recovery` of V^-1, V the basis at the N places, or None when V is singular.
+
+    The basis is x^a, a in A, and y x^j, j < B. With W[i, k] = x_i^k, W^-1 V
+    is the identity columns at A next to G = W^-1 diag(y) W[:, :B], so for C
+    = [0, N) minus A, V c = h reads G[C] beta = z[C], alpha_a = z_a - G[a] beta
+    (z = W^-1 h): only G[C] is eliminated. V is singular outright when more
+    places have y = 0 than A has members.
+    """
+    w = np.array(poles.distinct_poles, dtype=np.int64)
+    n = len(w)
+    odd = w % 2 == 1
+    exponents = np.where(odd, (w - poles.d) // 2, w // 2)
+    a_part = exponents[~odd]
+    b = int(np.count_nonzero(odd))
+    # distinct x is _inverse_vandermonde's own check
+    if not (np.array_equal(exponents[odd], np.arange(b)) and a_part.max(initial=0) < n):
+        raise RuntimeError("the basis is not x^a, a < N, and y x^j, j < B")
+    if np.count_nonzero(places[:, 1] == 0) > len(a_part):
+        return None
+    rec = np.asarray(recovery, dtype=np.int64)
+    rec_y = odd[rec]
+    # rows C of W^-1, then those at the x exponents of the recovery poles
+    in_a = np.zeros(n, dtype=bool)
+    in_a[a_part] = True
+    c = np.flatnonzero(~in_a)
+    w_inv = linalg._inverse_vandermonde(places[:, 0], np.concatenate((c, exponents[rec[~rec_y]])), q)
+    y_part = evaluation_matrix(q, poles.d, w[odd], places)
+    g = linalg._matmul_reduced(w_inv, y_part.T, q)
+    del y_part
+    try:
+        g_inv = linalg.LUFactorization(g[:b], q).inverse_columns(range(b))
+    except linalg.SingularMatrixError:
+        return None
+    # beta = G[C]^-1 z[C]; the x rows first take G[a] G[C]^-1, then z_a minus that
+    functionals = np.empty((len(rec), b), dtype=np.int64)
+    functionals[rec_y] = g_inv[exponents[rec[rec_y]]]
+    functionals[~rec_y] = linalg._matmul_reduced(g[b:], g_inv, q)
+    decoder = linalg._matmul_reduced(functionals, w_inv[:b], q)
+    decoder[~rec_y] = (w_inv[b:] - decoder[~rec_y]) % q
+    return decoder
+
+
 class SchemeInstance:
     """A fully built scheme: field order, information-set places, and evaluation system.
 
@@ -301,26 +344,31 @@ class SchemeInstance:
         self.poles = poles
         self.q = q
 
-        # one elimination of the basis evaluated at the candidate places picks
-        # the information set and factors its square submatrix S = V^T
-        evals = evaluation_matrix(q, poles.d, poles.distinct_poles, candidate_places)
-        information_set = linalg.LUFactorization(evals, q)
-        self.column_indices = information_set.columns
-        self.places = candidate_places[self.column_indices]
-        # S[t][i] = V[i][t] = basis_t(P_i), invertible because the places form an information set
-        s_matrix = evals[:, self.column_indices]
         # decoder rows: the coefficients of the recovery poles, in (j, j')
-        # row-major order; rows of V^-1 are columns of S^-1
+        # row-major order
         index = {w: t for t, w in enumerate(poles.distinct_poles)}
         recovery = [index[poles.recovery_pole(j, jp)]
                     for j in range(poles.m) for jp in range(poles.n)]
-        self._decoder = information_set.inverse_columns(recovery).T.copy()
+        n = poles.n_workers
+        decoder = _leading_square_decoder(q, poles, candidate_places[:n], recovery)
+        if decoder is None:
+            # one elimination at every candidate picks the greedy leftmost
+            # information set and factors S = V^T; rows of V^-1 are columns of S^-1
+            evals = evaluation_matrix(q, poles.d, poles.distinct_poles, candidate_places)
+            information_set = linalg.LUFactorization(evals, q)
+            del evals
+            self.column_indices = information_set.columns
+            decoder = information_set.inverse_columns(recovery).T
+        else:
+            self.column_indices = list(range(n))
+        self.places = candidate_places[self.column_indices]
+        self._decoder = np.ascontiguousarray(decoder)
 
-        # phi and gamma both start at pole order 0, so each of their entries is
-        # itself a distinct pole and its evaluations are a row of S. Per side:
-        # (coefficients of its x masks and blocks, block count, cut axis)
-        self._sides = {side: (s_matrix[[index[w] for w in orders]], count, axis)
-                       for side, (orders, count, axis) in poles.sides.items()}
+        # per side: (evaluations of its x masks and blocks at the places,
+        # which are its encoding coefficients, block count, cut axis)
+        (a_orders, *a_cut), (b_orders, *b_cut) = poles.sides.values()
+        coeffs = evaluation_matrix(q, poles.d, a_orders + b_orders, self.places)
+        self._sides = {"A": (coeffs[:len(a_orders)], *a_cut), "B": (coeffs[len(a_orders):], *b_cut)}
 
     @property
     def n_workers(self) -> int:
@@ -534,12 +582,21 @@ def read_matrix_csv(path) -> tuple[np.ndarray, int]:
     if min(rows, cols) == 0 and len(lines) == 1:
         # a matrix without entries has no body, or only blank lines
         return np.zeros((rows, cols), dtype=np.int64), q
+    # numpy's C reader takes a subset of what int() takes, at the same values;
+    # the rest (1_0, out-of-int64, malformed) goes through int() per entry
     try:
-        mat = np.array([[int(v) for v in ln.split(",")] for ln in lines[1:]], dtype=np.int64)
-    except OverflowError:
-        raise ValueError(f"{path}: an entry lies outside the int64 range [-2^63, 2^63)") from None
+        mat = np.loadtxt(lines[1:], delimiter=",", dtype=np.int64, ndmin=2,
+                         comments=None) if len(lines) > 1 else None
     except ValueError:
-        raise ValueError(f"{path}: malformed body; expected {rows} lines of {cols} integers") from None
+        mat = None
+    if mat is None:
+        try:
+            mat = np.array([[int(v) for v in ln.split(",")] for ln in lines[1:]], dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"{path}: an entry lies outside the int64 range [-2^63, 2^63)") from None
+        except ValueError:
+            raise ValueError(
+                f"{path}: malformed body; expected {rows} lines of {cols} integers") from None
     if mat.shape != (rows, cols):
         raise ValueError(f"{path}: header promises {rows}x{cols}, body is {mat.shape}")
     return mat % q, q

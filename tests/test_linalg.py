@@ -153,9 +153,9 @@ def _recorded_eliminations(monkeypatch):
 
 @pytest.mark.parametrize("q", TIER_PRIMES)
 def test_lu_of_a_wide_matrix_factors_its_leading_square_first(q, monkeypatch):
-    # with a leading k x k square of rank k, its elimination alone gives the
-    # columns, rows and factors of the whole matrix's; with a singular one the
-    # whole matrix is eliminated after it, and both agree with echelon
+    # the matrix is eliminated once, panel by panel from the left: with a
+    # leading k x k square of rank k its pivots are that square's columns, and
+    # with a singular one they reach past it; both agree with echelon
     shapes = _recorded_eliminations(monkeypatch)
     rng = np.random.default_rng(11)
     k = PANEL_WIDTH + 5
@@ -166,13 +166,40 @@ def test_lu_of_a_wide_matrix_factors_its_leading_square_first(q, monkeypatch):
             a[:, k - 3] = (a[:, 0] + 2 * a[:, 1]) % q
         shapes.clear()
         lu = LUFactorization(a, q)
-        assert shapes == ([(k, k), a.shape] if singular else [(k, k)])
+        assert shapes == [a.shape]
         cols, perm, factors = echelon(a, q)
         assert lu.columns == cols == (list(range(k)) if not singular
                                       else [c for c in range(k + 1) if c != k - 3])
         assert np.array_equal(lu._perm, perm) and np.array_equal(lu._lu, factors)
         got = lu.inverse_columns(range(k))
         assert np.array_equal(_exact(a[:, cols]) @ _exact(got) % q, np.eye(k, dtype=np.int64))
+
+
+@pytest.mark.parametrize("q,n", [
+    (q, n) for q in TIER_PRIMES for n in (1, 2, 5, PANEL_WIDTH, PANEL_WIDTH + 1, 2 * PANEL_WIDTH + 7)
+    if n <= q])
+def test_inverse_vandermonde_rows_match_the_exact_inverse(q, n):
+    # the root polynomial's product tree, its blocks' products and the blocked
+    # quotient recurrence, ragged last block included, against Python integers
+    rng = np.random.default_rng(n)
+    xs = rng.choice(q, size=n, replace=False).astype(np.int64)
+    coeffs = [1]  # prod (t - x), lowest degree first
+    for x in xs.tolist():
+        coeffs = [(lo - x * hi) % q for lo, hi in zip([0] + coeffs, coeffs + [0])]
+    assert linalg._root_polynomial(xs, q).tolist() == coeffs
+    rows = rng.permutation(n)
+    got = linalg._inverse_vandermonde(xs, rows, q)
+    w = np.array([[pow(x, k, q) for k in range(n)] for x in xs.tolist()], dtype=object)
+    identity = _exact(got) @ w % q
+    assert np.array_equal(identity, np.eye(n, dtype=np.int64)[rows])
+    assert np.array_equal(linalg._inverse_vandermonde(xs, rows[:2], q), got[:2])
+
+
+def test_inverse_vandermonde_refuses_repeated_points_and_rows():
+    with pytest.raises(ValueError, match="points must be distinct"):
+        linalg._inverse_vandermonde(np.array([3, 5, 3 + 11]), [0], 11)
+    with pytest.raises(ValueError, match="rows asked for must be distinct"):
+        linalg._inverse_vandermonde(np.array([3, 5, 7]), [1, 1], 11)
 
 
 def test_lu_keeps_the_elimination_block_inverses(monkeypatch):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -390,6 +390,14 @@ DECODER_DIGESTS = {
                 "edd751bf5ccfec43ad32b48da3493f8c5afffd2d14dc2516698135c81159ae6a"),
     (6, 6, 1): ("15a7aa8f8ce822f8633f938dba16dfcb1ca908acebfd541e5dcff3b4cad4c4a4",
                 "544f5ef5cce70f2388f40f41e34a64eb7a5b4d6046eec03e0687dba4d5135a0b"),
+    # recorded while the decoder came from an elimination of the leading
+    # square: (10, 3, 2), q = 107, N = 48, whose x exponents have gaps (x < m/2),
+    # and (2, 5, 6), q = 61, N = 32, whose leading square is singular though
+    # it has more x exponents than roots of f among its places
+    (10, 3, 2): ("852c80a269cfde9f6b8cc6c4f19f4e92c636218d0620fedda0d379e77abc224b",
+                 "b1616eb656dffb9b8c3c2e0c30f921ccfd2b6a10981b709939bc9921e0ee45e4"),
+    (2, 5, 6): ("f09b2af12cdcd6911f0e06cf3ea09cec2bff1c8c38b2310e6a7386cc46a4b0df",
+                "5ab79ff5f319acb19dde6ba91f08b89ac5da5740d63f80c2d9c61950427ccc17"),
 }
 
 
@@ -476,14 +484,12 @@ def test_pinned_digests_hold_with_ragged_encode_chunks(params, monkeypatch):
         assert _transcript_digest(transcript) == TRANSCRIPT_DIGESTS[params]
 
 
-def test_build_runs_one_elimination(monkeypatch):
-    # the information set and the decoder's factorization share one elimination
-    # of the one evaluation of the basis at the candidate places: that of its
-    # leading N x N square, which has rank N at both points
-    calls, evaluations = [], []
+def _recorded_builds(monkeypatch):
+    # the shapes of every elimination and every basis evaluation the builds make
+    eliminations, evaluations = [], []
     eliminate = agsdmm.linalg._eliminate
     monkeypatch.setattr(agsdmm.linalg, "_eliminate",
-                        lambda a, q: calls.append(a.shape) or eliminate(a, q))
+                        lambda a, q: eliminations.append(a.shape) or eliminate(a, q))
     evaluate = scheme.evaluation_matrix
 
     def counted(q, d, pole_orders, places):
@@ -492,26 +498,86 @@ def test_build_runs_one_elimination(monkeypatch):
         return out
 
     monkeypatch.setattr(scheme, "evaluation_matrix", counted)
+    return eliminations, evaluations
+
+
+def _y_count(poles):
+    # B, the number of basis functions y x^j
+    return sum(w % 2 for w in poles.distinct_poles)
+
+
+def test_build_runs_one_elimination(monkeypatch):
+    # with the leading N candidates an information set, the decoder takes one
+    # elimination, of the B x B system G[C], and the basis is never evaluated
+    # in full: only its B functions y x^j at the N places, then the sides'
+    eliminations, evaluations = _recorded_builds(monkeypatch)
     for params in ((4, 3, 2), (3, 4, 2)):
-        calls.clear()
+        eliminations.clear()
         evaluations.clear()
         inst = build_scheme(SchemeParams(*params))
-        assert evaluations == [(inst.n_workers, inst.poles.code_degree + 1)]
-        assert calls == [(inst.n_workers, inst.n_workers)]
+        n, b = inst.n_workers, _y_count(inst.poles)
+        assert inst.column_indices == list(range(n))
+        assert eliminations == [(b, b)]
+        sides = len(inst.poles.phi) + len(inst.poles.gamma)
+        assert evaluations == [(b, n), (sides, n)]
 
 
-@pytest.mark.parametrize("params", [(4, 6, 1), (6, 6, 1)])
+@pytest.mark.parametrize("params", [(4, 6, 1), (6, 6, 1), (2, 5, 6)])
 def test_build_falls_back_to_the_wide_elimination(params, monkeypatch):
-    # the leading N candidates are not an information set here, so after the
-    # square's elimination the build eliminates all code_degree + 1 of them
-    calls = []
-    eliminate = agsdmm.linalg._eliminate
-    monkeypatch.setattr(agsdmm.linalg, "_eliminate",
-                        lambda a, q: calls.append(a.shape) or eliminate(a, q))
+    # the leading N candidates are not an information set here, so the build
+    # eliminates the basis evaluated at all code_degree + 1 of them, once. At
+    # (4, 6, 1) and (6, 6, 1) the places with y = 0 outnumber the x exponents,
+    # so it goes there directly; at (2, 5, 6) G[C] is eliminated first and
+    # found singular
+    eliminations, evaluations = _recorded_builds(monkeypatch)
     inst = build_scheme(SchemeParams(*params))
-    n = inst.n_workers
-    assert calls == [(n, n), (n, inst.poles.code_degree + 1)]
+    n, b = inst.n_workers, _y_count(inst.poles)
+    wide = (n, inst.poles.code_degree + 1)
+    assert eliminations == ([(b, b), wide] if params == (2, 5, 6) else [wide])
+    assert wide in evaluations
     assert inst.column_indices[-1] >= n
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 12), n=st.integers(1, 10), x=st.integers(1, 6))
+@example(m=10, n=3, x=2)  # x exponents with gaps
+@example(m=3, n=4, x=2)  # phi encodes B
+@example(m=4, n=6, x=1)  # singular by the count of places with y = 0
+@example(m=2, n=5, x=6)  # singular G[C]
+def test_decoder_equals_the_wide_elimination(m, n, x):
+    assume(m % 2 == 0 or n % 2 == 0)
+    even, other, _ = orient(m, n, x)
+    assume(even * (other - 1) + 2 * x - 1 >= 3)
+    _check_decoder_against_the_wide_elimination(build_scheme(SchemeParams(m, n, x)))
+
+
+# explicit fields whose products fall in the float64, int64 and limb tiers
+@pytest.mark.parametrize("params,q", [((2, 2, 1), 2**31 - 1), ((4, 3, 2), 2**31 - 1),
+                                      ((3, 4, 2), 1000000007), ((6, 5, 3), 134217689)])
+def test_decoder_equals_the_wide_elimination_at_large_fields(params, q):
+    _check_decoder_against_the_wide_elimination(build_scheme(SchemeParams(*params, q=q)))
+
+
+def _check_decoder_against_the_wide_elimination(inst):
+    # the structured decoder and information set are those of one greedy
+    # elimination of the basis evaluated at every candidate
+    poles = inst.poles
+    evals = evaluation_matrix(inst.q, poles.d, poles.distinct_poles, _candidates(inst))
+    lu = LUFactorization(evals, inst.q)
+    index = {w: t for t, w in enumerate(poles.distinct_poles)}
+    recovery = [index[poles.recovery_pole(j, jp)] for j in range(poles.m) for jp in range(poles.n)]
+    assert lu.columns == inst.column_indices
+    assert np.array_equal(lu.inverse_columns(recovery).T, inst._decoder)
+
+
+def test_structured_decoder_checks_the_shape_of_the_basis():
+    # a gap among the y functions breaks the split of V into W and G
+    inst = build_scheme(SchemeParams(4, 3, 2))
+    odd = [w for w in inst.poles.distinct_poles if w % 2]
+    broken = dataclasses.replace(
+        inst.poles, distinct_poles=tuple(w for w in inst.poles.distinct_poles if w != odd[1]))
+    with pytest.raises(RuntimeError, match="the basis is not x"):
+        scheme._leading_square_decoder(inst.q, broken, inst.places, [0])
 
 
 def _usable_x_reference(d, q):
@@ -934,6 +1000,41 @@ def test_matrix_csv_errors(tmp_path):
     bad.write_text(f"1,2,7\n{2**63 - 1},{-2**63}\n")
     got, q = read_matrix_csv(bad)
     assert q == 7 and got.tolist() == [[(2**63 - 1) % 7, -2**63 % 7]]
+
+
+def _int_per_entry(path, rows, cols):
+    # the reading of a body one int() per entry, as read_matrix_csv did it alone
+    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()][1:]
+    try:
+        mat = np.array([[int(v) for v in ln.split(",")] for ln in lines], dtype=np.int64)
+    except OverflowError:
+        return f"{path}: an entry lies outside the int64 range [-2^63, 2^63)"
+    except ValueError:
+        return f"{path}: malformed body; expected {rows} lines of {cols} integers"
+    if mat.shape != (rows, cols):
+        return f"{path}: header promises {rows}x{cols}, body is {mat.shape}"
+    return (mat % 7).tolist()
+
+
+@pytest.mark.parametrize("body", [
+    "1_0,2", " 5,+6", "5 ,-0", "0010,\t3", "\u0663,4", "\uff11,2", "1,2\n\n3,4", "1,2\n 3 , 4 ",
+    "1.0,2", "1e3,2", "0x1,2", "1 2,3", "1,,2", "1,2,", "1,2#c", "'1',2", "nan,1", "True,1",
+    f"{2**63},1", f"{-2**63 - 1},1", f"{2**63 - 1},{-2**63}", "1,2\n3", "1,2,3\n4,5,6", "1\n2",
+])
+def test_matrix_csv_reads_entries_as_int_does(tmp_path, body):
+    # numpy's reader takes a body only where int() per entry gives the same
+    # matrix; every other body gets the per-entry reading and its refusals
+    path = tmp_path / "m.csv"
+    rows = len([ln for ln in body.splitlines() if ln.strip()])
+    cols = len(body.splitlines()[0].split(","))
+    path.write_text(f"{rows},{cols},7\n{body}\n")
+    expected = _int_per_entry(path, rows, cols)
+    try:
+        got, _ = read_matrix_csv(path)
+    except ValueError as err:
+        assert str(err) == expected
+    else:
+        assert got.dtype == np.int64 and got.tolist() == expected
 
 
 @pytest.mark.parametrize("m,n,x", [(2, 2, 1), (2, 1, 2), (4, 3, 2)])
