@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -583,11 +584,15 @@ def read_matrix_csv(path) -> tuple[np.ndarray, int]:
         # a matrix without entries has no body, or only blank lines
         return np.zeros((rows, cols), dtype=np.int64), q
     # numpy's C reader takes a subset of what int() takes, at the same values;
-    # the rest (1_0, out-of-int64, malformed) goes through int() per entry
+    # the rest (1_0, out-of-int64, malformed) goes through int() per entry.
+    # numpy releases that read such an entry as a float (1.0, 1e3, 2^63) warn
+    # first; as an error, that warning sends the body to int() too
     try:
-        mat = np.loadtxt(lines[1:], delimiter=",", dtype=np.int64, ndmin=2,
-                         comments=None) if len(lines) > 1 else None
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mat = np.loadtxt(lines[1:], delimiter=",", dtype=np.int64, ndmin=2,
+                             comments=None) if len(lines) > 1 else None
+    except (ValueError, Warning):
         mat = None
     if mat is None:
         try:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1035,6 +1036,37 @@ def test_matrix_csv_reads_entries_as_int_does(tmp_path, body):
         assert str(err) == expected
     else:
         assert got.dtype == np.int64 and got.tolist() == expected
+
+
+@pytest.mark.parametrize("body,message", [
+    ("1.0,2", "malformed body"), ("2.7,2", "malformed body"), ("1e3,2", "malformed body"),
+    ("nan,2", "malformed body"), (f"{2**63},2", "an entry lies outside the int64 range"),
+    (f"{10**20},2", "an entry lies outside the int64 range"),
+])
+def test_matrix_csv_refuses_float_entries_at_default_warning_filters(tmp_path, monkeypatch,
+                                                                     body, message):
+    # outside a test run a library's DeprecationWarnings are ignored, and a
+    # numpy that still reads an int64 entry via a float only warns before it
+    # returns the cast; the reader refuses such bodies with either numpy
+    path = tmp_path / "m.csv"
+    path.write_text(f"1,2,7\n{body}\n")
+    loadtxt = np.loadtxt
+
+    def via_float(lines, **kwargs):
+        try:
+            return loadtxt(lines, **kwargs)
+        except ValueError:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            return loadtxt(lines, **{**kwargs, "dtype": np.float64}).astype(np.int64)
+
+    for reader in (loadtxt, via_float):
+        monkeypatch.setattr(np, "loadtxt", reader)
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            warnings.simplefilter("ignore", DeprecationWarning)
+            with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+                read_matrix_csv(path)
 
 
 @pytest.mark.parametrize("m,n,x", [(2, 2, 1), (2, 1, 2), (4, 3, 2)])
