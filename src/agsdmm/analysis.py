@@ -22,11 +22,13 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, prod
 from pathlib import Path
 from typing import NamedTuple
 
-from .scheme import _check_positive, distinct_sums, orient, worker_bound, worker_count
+from .scheme import (_check_positive, _curve_degree, _even_first, _worker_count, distinct_sums,
+                     orient, worker_bound, worker_count)
 
 SWEEP_CAVEAT = (
     "gasp_big is an upper bound, not the exact GASP threshold; "
@@ -117,8 +119,7 @@ SCHEMES = ("ag", "a3s", "gasp_big")
 SWEEP_POINT_CAP = 10**6  # about 8x the README's 2:50 x 1:50 x 1:50 grid
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     """Worker counts of the three schemes at one (m, n, x).
 
     ag and ag_bound are None where the construction does not support the point.
@@ -179,36 +180,52 @@ class SweepSummary:
 
 
 def sweep_point(m: int, n: int, x: int) -> SweepPoint:
-    try:
-        ag, ag_bound = workers_ag(m, n, x)
-    except ValueError:
-        _check_positive(m, n, x)  # refuses an invalid point; a valid one is unsupported
-        ag, ag_bound = None, None
-    return SweepPoint(m, n, x, ag, ag_bound, _a3s(m, n, x), _gasp_big(m, n, x))
-
-
-def _check_sweep_size(points: int) -> None:
-    """Refuse a sweep of more than SWEEP_POINT_CAP points before anything is built."""
-    if points > SWEEP_POINT_CAP:
-        raise ValueError(f"sweep of {points} points exceeds the cap of {SWEEP_POINT_CAP} points")
+    """The counts at one point: compare_sweep over a one-point grid."""
+    return compare_sweep((m,), (n,), (x,))[0][0]
 
 
 def compare_sweep(m_values, n_values, x_values) -> tuple[list[SweepPoint], SweepSummary]:
-    """Evaluate all three schemes across the given ranges, sorted by (m, n, x).
+    """Evaluate all three schemes across the given values, sorted by (m, n, x).
 
-    A range axis is counted by len(), so a grid above SWEEP_POINT_CAP is
-    refused before any range is materialised.
+    A grid above SWEEP_POINT_CAP is refused before any axis is materialised.
+    Each distinct value is checked once, and the first point, in (m, n, x)
+    order, holding an invalid one is refused as _check_positive refuses it.
     """
     axes = [v if isinstance(v, range) else sorted(set(v)) for v in (m_values, n_values, x_values)]
-    _check_sweep_size(prod(map(len, axes)))
-    m_axis, n_axis, x_axis = [sorted(v) for v in axes]
-    points = [sweep_point(m, n, x) for m in m_axis for n in n_axis for x in x_axis]
-    summary = SweepSummary(
-        total=len(points),
-        ag_supported=sum(p.ag_supported for p in points),
-        ag_wins=sum(p.ag_wins for p in points),
-    )
-    return points, summary
+    # len() of a range past sys.maxsize overflows
+    size = prod((v[-1] - v[0]) // v.step + 1 if isinstance(v, range) and v else len(v)
+                for v in axes)
+    if size > SWEEP_POINT_CAP:
+        raise ValueError(f"sweep of {size} points exceeds the cap of {SWEEP_POINT_CAP} points")
+    axes = [sorted(v) for v in axes]
+    bad = [[i for i, v in enumerate(axis) if _refused(_check_positive, v, 1, 1)] for axis in axes]
+    if any(bad):
+        # per axis, the first point holding one of its invalid values; the earliest of those
+        at = min([0] * k + b[:1] + [0] * (2 - k) for k, b in enumerate(bad) if b)
+        _check_positive(*(axis[i] for axis, i in zip(axes, at)))
+    m_axis, n_axis, x_axis = axes
+    points = []
+    for m, n in product(m_axis, n_axis):
+        me, ne, _ = _even_first(m, n) or (None, None, None)
+        # d grows with x, so the supported values are a suffix of the ascending axis
+        first = len(x_axis) if me is None else next(
+            (i for i, x in enumerate(x_axis) if not _refused(_curve_degree, me, ne, x)), len(x_axis))
+        for i, x in enumerate(x_axis):
+            ag = ag_bound = None
+            if i >= first:
+                ag, ag_bound = _worker_count(me, ne, x), worker_bound(me, ne, x)
+            # _make skips the keyword handling of the generated __new__
+            points.append(SweepPoint._make((m, n, x, ag, ag_bound, _a3s(m, n, x), _gasp_big(m, n, x))))
+    supported = sum(p.ag is not None for p in points)
+    return points, SweepSummary(len(points), supported, sum(p.ag_wins for p in points))
+
+
+def _refused(check, *args) -> bool:
+    try:
+        check(*args)
+    except ValueError:
+        return True
+    return False
 
 
 SWEEP_CSV_FIELDS = [
@@ -222,27 +239,27 @@ SWEEP_CSV_FIELDS = [
 UNSUPPORTED = "unsupported"
 
 
-def _rate_cells(mn: int, workers: int) -> list[str]:
+def _rate_cells(mn: int, workers: int) -> str:
     # str and float of Fraction(mn, workers): int true division rounds correctly
     g = gcd(mn, workers)
-    rate = str(mn // g) if workers == g else f"{mn // g}/{workers // g}"
-    return [rate, f"{mn / workers:.4f}"]
+    rate = mn // g if workers == g else f"{mn // g}/{workers // g}"
+    return f"{rate},{mn / workers:.4f}"
 
 
-def sweep_point_to_csv_row(point: SweepPoint) -> list[str]:
-    mn = point.m * point.n
-    ag = ([UNSUPPORTED, "", "", ""] if point.ag is None
-          else [str(point.ag), str(point.ag_bound), *_rate_cells(mn, point.ag)])
-    return [str(point.m), str(point.n), str(point.x), *ag,
-            str(point.a3s), *_rate_cells(mn, point.a3s),
-            str(point.gasp_big), *_rate_cells(mn, point.gasp_big), point.best]
+def _sweep_csv_row(p: SweepPoint) -> str:
+    m, n, x, ag, ag_bound, a3s, gasp_big = p
+    mn = m * n
+    ag_cells = f"{UNSUPPORTED},,," if ag is None else f"{ag},{ag_bound},{_rate_cells(mn, ag)}"
+    return (f"{m},{n},{x},{ag_cells},{a3s},{_rate_cells(mn, a3s)},"
+            f"{gasp_big},{_rate_cells(mn, gasp_big)},{p.best}\n")
 
 
 def format_sweep_csv(points) -> str:
-    # no cell holds a comma, quote or newline, so this is the text csv.writer writes
+    # no cell holds a comma, quote or newline, so this is the text csv.writer writes;
+    # StringIO holds less at the cap than a list of rows joined
     buf = io.StringIO()
     buf.write(",".join(SWEEP_CSV_FIELDS) + "\n")
-    buf.writelines(",".join(sweep_point_to_csv_row(p)) + "\n" for p in points)
+    buf.writelines(map(_sweep_csv_row, points))
     return buf.getvalue()
 
 
@@ -278,8 +295,8 @@ def parse_sweep_csv(text: str) -> list[SweepPoint]:
             raise ValueError(f"sweep CSV line {line}: {exc}") from None
         if min(point.workers.values()) < 1:
             raise ValueError(f"sweep CSV line {line}: worker counts must be positive")
-        differ = [f for f, want, got in zip(SWEEP_CSV_FIELDS, sweep_point_to_csv_row(point), row)
-                  if want != got]
+        want = _sweep_csv_row(point)[:-1].split(",")
+        differ = [f for f, cell, got in zip(SWEEP_CSV_FIELDS, want, row) if cell != got]
         if differ:
             raise ValueError(f"sweep CSV line {line}: cells that disagree with its worker "
                              f"counts: {', '.join(differ)}")

@@ -176,6 +176,10 @@ def worker_count(m: int, n: int, x: int) -> int:
     count therefore meets worker_bound exactly when x >= m/2 or n = 1.
     """
     _curve_degree(m, n, x)
+    return _worker_count(m, n, x)
+
+
+def _worker_count(m: int, n: int, x: int) -> int:
     return m * n + m + 3 * x - 2 + (n - 1) * min(x, m // 2)
 
 
@@ -186,11 +190,14 @@ def orient(m: int, n: int, x: int) -> tuple[int, int, bool]:
     error names the parameter that is wrong.
     """
     _check_positive(m, n, x)
-    if m % 2 == 0:
-        return m, n, False
-    if n % 2 == 0:
-        return n, m, True
-    raise ValueError(f"at least one of m={m}, n={n} must be even")
+    if (oriented := _even_first(m, n)) is None:
+        raise ValueError(f"at least one of m={m}, n={n} must be even")
+    return oriented
+
+
+def _even_first(m: int, n: int) -> tuple[int, int, bool] | None:
+    # orient's reordering of checked counts; None when both are odd
+    return (m, n, False) if m % 2 == 0 else (n, m, True) if n % 2 == 0 else None
 
 
 def _curve_degree(m: int, n: int, x: int) -> int:

@@ -3,6 +3,8 @@ import hashlib
 import io
 import re
 from fractions import Fraction
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +23,14 @@ from agsdmm import (
     write_sweep_csv,
 )
 from agsdmm import analysis
-from agsdmm.analysis import SCHEMES, SWEEP_CSV_FIELDS, SWEEP_POINT_CAP, SweepPoint, sweep_point
+from agsdmm.analysis import (
+    SCHEMES,
+    SWEEP_CSV_FIELDS,
+    SWEEP_POINT_CAP,
+    SweepPoint,
+    SweepSummary,
+    sweep_point,
+)
 
 # the reference exponent table: 18 distinct entries
 REFERENCE_TABLE = [
@@ -367,11 +376,33 @@ def test_compare_sweep_refuses_invalid_points(axes, message):
         compare_sweep(*axes)
 
 
+@settings(max_examples=150, deadline=None)
+@given(axes=st.lists(st.lists(st.one_of(st.integers(-2, 4), st.sampled_from([0.5, 2.5])),
+                              min_size=1, max_size=4), min_size=3, max_size=3))
+def test_compare_sweep_refuses_the_first_invalid_point(axes):
+    # each point in (m, n, x) order through workers_a3s, which refuses as _check_positive does
+    message = None
+    for point in product(*(sorted(set(axis)) for axis in axes)):
+        try:
+            workers_a3s(*point)
+        except ValueError as exc:
+            message = str(exc)
+            break
+    if message is None:
+        compare_sweep(*axes)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compare_sweep(*axes)
+
+
 def test_compare_sweep_refuses_a_grid_above_the_cap(monkeypatch):
     def no_point(*args):
         raise AssertionError("a point was built")
 
-    monkeypatch.setattr(analysis, "sweep_point", no_point)
+    # every point the pass builds goes through SweepPoint._make
+    monkeypatch.setattr(analysis, "SweepPoint", SimpleNamespace(_make=no_point))
+    with pytest.raises(AssertionError, match="a point was built"):
+        compare_sweep([2], [1], [1])
     axes = (range(2, 103), [1, 1, *range(1, 101)], range(1, 101))  # 101 * 100 * 100 points
     message = f"sweep of 1010000 points exceeds the cap of {SWEEP_POINT_CAP} points"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -380,3 +411,36 @@ def test_compare_sweep_refuses_a_grid_above_the_cap(monkeypatch):
     monkeypatch.undo()
     points, _ = compare_sweep([2, 2], [1, 1], [1, 2, 2])
     assert [(p.m, p.n, p.x) for p in points] == [(2, 1, 1), (2, 1, 2)]
+
+
+@pytest.mark.parametrize("axes,points", [
+    ((range(1, 10**20), [1], [1]), 10**20 - 1),
+    (([2], range(10**19, 0, -1), range(2**63)), 10**19 * 2**63),
+])
+def test_compare_sweep_counts_a_range_past_sys_maxsize(axes, points):
+    # len() of such a range raises OverflowError
+    message = f"sweep of {points} points exceeds the cap of {SWEEP_POINT_CAP} points"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compare_sweep(*axes)
+
+
+# small values reach both-odd and d < 3 points, such as (3, 3, x) and (2, 1, 1)
+oracle_axis = st.lists(st.one_of(st.integers(1, 5), st.integers(1, 10**18)), min_size=1, max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m_values=oracle_axis, n_values=oracle_axis, x_values=oracle_axis)
+@example([3, 2, 3], [1, 3, 1], [1, 10**18, 1])
+def test_compare_sweep_is_the_per_point_oracle(m_values, n_values, x_values):
+    expected = [
+        SweepPoint(m, n, x, *(_ag_or_none(m, n, x) or (None, None)), workers_a3s(m, n, x),
+                   workers_gasp_big(m, n, x))
+        for m in sorted(set(m_values)) for n in sorted(set(n_values)) for x in sorted(set(x_values))
+    ]
+    points, summary = compare_sweep(m_values, n_values, x_values)
+    assert points == expected and all(type(p) is SweepPoint for p in points)
+    assert summary == SweepSummary(len(expected), sum(p.ag is not None for p in expected),
+                                   sum(p.ag_wins for p in expected))
+    assert [sweep_point(*p[:3]) for p in expected] == expected
+    text = format_sweep_csv(points)
+    assert parse_sweep_csv(text) == points and format_sweep_csv(parse_sweep_csv(text)) == text

@@ -1,15 +1,26 @@
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import agsdmm
-from agsdmm import SchemeParams, build_scheme, read_matrix_csv, run_protocol, write_matrix_csv
+from agsdmm import (
+    SchemeParams,
+    build_scheme,
+    parse_sweep_csv,
+    read_matrix_csv,
+    run_protocol,
+    write_matrix_csv,
+)
 from agsdmm.analysis import SWEEP_POINT_CAP
 from agsdmm.cli import main
 from agsdmm.protocol import SecrecyAuditReport
@@ -283,7 +294,8 @@ def _limit_address_space():
 
 @pytest.mark.parametrize(
     "m_range,n_range,x_range,points",
-    [("2:3", "1:2", "1:100000000", 400_000_000), ("2:400", "1:400", "1:400", 63_840_000)],
+    [("2:3", "1:2", "1:100000000", 400_000_000), ("2:400", "1:400", "1:400", 63_840_000),
+     ("1:99999999999999999999", "1", "1", 99999999999999999999)],
 )
 def test_compare_refuses_a_grid_above_the_cap_before_allocating(tmp_path, m_range, n_range,
                                                                  x_range, points):
@@ -335,6 +347,53 @@ def test_compare_sweep_counts_a_range_before_materialising_it():
     out = _run_python("-c", script, preexec_fn=_limit_address_space)
     assert out.returncode == 1 and out.stderr.splitlines() == [
         f"error: sweep of 100000000 points exceeds the cap of {SWEEP_POINT_CAP} points"]
+
+
+def _bound_text(value: int, style: str) -> str:
+    # spellings that int() accepts
+    text = f"{value:_d}" if style == "underscores" else str(value)
+    if style == "spaces":
+        return f" {text} "
+    return f"+{text}" if style == "plus" and value >= 0 else text
+
+
+@st.composite
+def range_texts(draw):
+    # a start and a span each either small or past the sweep cap, so that every
+    # grid is tiny or refused before it is built, in assorted spellings
+    start = draw(st.one_of(st.integers(-2, 6), st.integers(10**7, 10**30)))
+    styles = st.sampled_from(["plain", "underscores", "spaces", "plus"])
+    kind = draw(st.sampled_from(["single", "single", "range", "range", "range", "three-part",
+                                 "malformed"]))
+    lo = _bound_text(start, draw(styles))
+    if kind == "single":
+        return lo
+    if kind == "malformed":
+        return draw(st.sampled_from(["", ":", " ", "1:", ":2", "a:b:c", "1__0", "_1", "1_",
+                                     "0x10", "1e3", "2.0", "1:2,3", "--1", "\x00"]))
+    span = draw(st.one_of(st.integers(-1, 4), st.integers(10**7, 10**30)))
+    hi = _bound_text(start + span, draw(styles))
+    return f"{lo}:{hi}" + (f":{draw(st.integers(-1, 3))}" if kind == "three-part" else "")
+
+
+@settings(max_examples=150, deadline=None)
+@given(m_range=range_texts(), n_range=range_texts(), x_range=range_texts())
+@example("1:99999999999999999999", "1", "1")
+@example("1:3", "-1:1", "2")
+@example("10_000_000_000_000_000_000:10_000_000_000_000_000_001", " +2 ", "1:3")
+def test_compare_fuzzed_ranges_exit_cleanly(tmp_path_factory, m_range, n_range, x_range):
+    out_path = tmp_path_factory.mktemp("compare") / "rates.csv"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(["compare", f"--m-range={m_range}", f"--n-range={n_range}",
+                     f"--x-range={x_range}", f"--out={out_path}"])
+    if code == 0:
+        points = parse_sweep_csv(out_path.read_text())
+        assert stdout.getvalue().splitlines()[-1] == f"wrote {len(points)} rows -> {out_path}"
+        assert stderr.getvalue() == ""
+    else:
+        assert code == 1 and not out_path.exists()
+        assert len(stderr.getvalue().splitlines()) == 1 and stderr.getvalue().startswith("error: ")
 
 
 def test_single_value_range(tmp_path):

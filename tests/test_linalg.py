@@ -152,11 +152,10 @@ def _recorded_eliminations(monkeypatch):
 
 
 @pytest.mark.parametrize("q", TIER_PRIMES)
-def test_lu_of_a_wide_matrix_factors_its_leading_square_first(q, monkeypatch):
-    # the matrix is eliminated once, panel by panel from the left, so its
-    # leading square is factored first: with a leading k x k square of rank k
-    # the pivots are that square's columns, and with a singular one they reach
-    # past it; both agree with echelon
+def test_lu_of_a_wide_matrix_eliminates_it_once(q, monkeypatch):
+    # one elimination of the whole matrix, panel by panel from the left: with a
+    # leading k x k square of rank k the pivots are that square's columns, and
+    # with a singular one they reach past it; both agree with echelon
     shapes = _recorded_eliminations(monkeypatch)
     rng = np.random.default_rng(11)
     k = PANEL_WIDTH + 5
