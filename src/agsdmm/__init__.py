@@ -18,7 +18,6 @@ from .field import is_prime
 from .linalg import (
     LUFactorization,
     SingularMatrixError,
-    all_square_submatrices_invertible,
     echelon,
     matmul_mod,
     rank,

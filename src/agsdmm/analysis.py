@@ -189,15 +189,20 @@ def compare_sweep(m_values, n_values, x_values) -> tuple[list[SweepPoint], Sweep
 
     A grid above SWEEP_POINT_CAP is refused before any axis is materialised.
     Each distinct value is checked once, and the first point, in (m, n, x)
-    order, holding an invalid one is refused as _check_positive refuses it.
+    order, holding an invalid one is refused as _check_positive refuses it;
+    when some axis's values do not sort, every axis is taken in its given order.
     """
-    axes = [v if isinstance(v, range) else sorted(set(v)) for v in (m_values, n_values, x_values)]
+    axes = [v if isinstance(v, range) else list(v) for v in (m_values, n_values, x_values)]
+    try:
+        axes = [v if isinstance(v, range) else sorted(set(v)) for v in axes]
+    except TypeError:  # a value that is not a number, which the integer check refuses
+        pass
     # len() of a range past sys.maxsize overflows
     size = prod((v[-1] - v[0]) // v.step + 1 if isinstance(v, range) and v else len(v)
                 for v in axes)
     if size > SWEEP_POINT_CAP:
         raise ValueError(f"sweep of {size} points exceeds the cap of {SWEEP_POINT_CAP} points")
-    axes = [sorted(v) for v in axes]
+    axes = [sorted(v) if isinstance(v, range) else v for v in axes]
     bad = [[i for i, v in enumerate(axis) if _refused(_check_positive, v, 1, 1)] for axis in axes]
     if any(bad):
         # per axis, the first point holding one of its invalid values; the earliest of those

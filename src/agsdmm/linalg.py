@@ -26,15 +26,12 @@ refuses float, complex and out-of-int64 input from its dtype alone.
 
 from __future__ import annotations
 
-import math
 import operator
-from itertools import combinations
 
 import numpy as np
 
 from .field import _MODULUS_CAP, _power_table
 
-SUBMATRIX_CHECK_CAP = 10**6
 # a product's sums below these bounds are exact in float32, int32, float64 and int64
 FLOAT32_EXACT = 2**24
 INT32_EXACT = 2**31
@@ -506,20 +503,3 @@ def _inverse_vandermonde(xs: np.ndarray, rows, q: int) -> np.ndarray:
     _reduce_in_place(out, q)
     return out
 
-
-def all_square_submatrices_invertible(rows, q: int) -> bool:
-    """Exhaustively check that every X x X column submatrix of an X x N matrix is invertible."""
-    m = as_matrix(rows, q)
-    x, n_cols = m.shape
-    if x > n_cols:
-        raise ValueError(f"row count {x} exceeds column count {n_cols}")
-    total = math.comb(n_cols, x)
-    if total > SUBMATRIX_CHECK_CAP:
-        raise ValueError(
-            f"{total} submatrices to check exceeds the cap {SUBMATRIX_CHECK_CAP}; "
-            "the check is exhaustive and meant for small matrices"
-        )
-    for cols in combinations(range(n_cols), x):
-        if rank(m[:, cols], q) < x:
-            return False
-    return True

@@ -250,6 +250,8 @@ def derive_parameters(m: int, n: int, x: int) -> PoleStructure:
     guarantees = {
         "phi and gamma have distinct entries":
             len(set(phi)) == len(phi) and len(set(gamma)) == len(gamma),
+        "both sides' mask orders are 0, 2, ..., 2X - 2":
+            phi[:x] == gamma[:x] == tuple(range(0, 2 * x, 2)),
         "every pole order is even or at least d":
             all(w % 2 == 0 or w >= d for w in phi + gamma),
         "recovery poles are distinct": len(set(recovery)) == m * n,
@@ -340,11 +342,23 @@ def _leading_square_decoder(q: int, poles: PoleStructure, places: np.ndarray, re
     return decoder
 
 
+def _mask_code_is_mds(xs, x: int) -> bool:
+    """Whether every x columns of the mask generator, rows xs^k for k < x, are invertible.
+
+    derive_parameters checks that both sides' masks are 1, x, ..., x^(x-1), so
+    any x workers' mask block is the Vandermonde matrix at their xs: all are
+    invertible iff the xs are pairwise distinct or x = 1, where the block is [1].
+    """
+    xs = np.sort(xs)  # np.unique would import numpy.ma, 1.7 MB, on its first call
+    return x == 1 or bool((xs[1:] != xs[:-1]).all())
+
+
 class SchemeInstance:
     """A fully built scheme: field order, information-set places, and evaluation system.
 
     candidate_places is a (k, 2) int64 array of (x, y) rows on the curve of
-    degree poles.d over F_q; places holds the rows of the information set.
+    degree poles.d over F_q; places holds the rows of the information set,
+    which is refused unless its x-coordinates certify X-secrecy (_mask_code_is_mds).
     """
 
     def __init__(self, params, poles, q, candidate_places):
@@ -370,6 +384,9 @@ class SchemeInstance:
         else:
             self.column_indices = list(range(n))
         self.places = candidate_places[self.column_indices]
+        if not _mask_code_is_mds(self.places[:, 0], poles.x):
+            raise ValueError(f"the information set repeats an x-coordinate, so some "
+                             f"X = {poles.x} workers' mask block is singular")
         self._decoder = np.ascontiguousarray(decoder)
 
         # per side: (evaluations of its x masks and blocks at the places,
@@ -508,7 +525,10 @@ def save_scheme(instance: SchemeInstance, path) -> None:
 
 def load_scheme(path) -> SchemeInstance:
     """Rebuild a scheme from its descriptor and verify the stored derived fields."""
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as err:  # RecursionError: nested too deep
+        raise ValueError(f"{path}: scheme descriptor is not readable JSON: {err}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: scheme descriptor must be a JSON object, got {type(data).__name__}")
     missing = [k for k in ("m", "n", "X", "q") if k not in data]

@@ -369,6 +369,13 @@ def test_compare_sweep_is_the_public_counts():
         (([2.5], [1], [1]), "m, n, x must be integers, got (2.5, 1, 1)"),
         (([2, 3], [1, 2.5], [1]), "m, n, x must be integers, got (2, 2.5, 1)"),
         ((["2"], [1], [1]), "m, n, x must be integers, got ('2', 1, 1)"),
+        # axes that do not sort
+        ((["2", 1], [1], [1]), "m, n, x must be integers, got ('2', 1, 1)"),
+        (([2], ["2", 1], [1]), "m, n, x must be integers, got (2, '2', 1)"),
+        (([2], [1], ["2", 1]), "m, n, x must be integers, got (2, 1, '2')"),
+        (([None, 2], [1], [1]), "m, n, x must be integers, got (None, 1, 1)"),
+        (([1], [None, 2], [1]), "m, n, x must be integers, got (1, None, 1)"),
+        (([2], [1], [None, 2]), "m, n, x must be integers, got (2, 1, None)"),
     ],
 )
 def test_compare_sweep_refuses_invalid_points(axes, message):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -176,6 +177,17 @@ def test_multiply_rejects_descriptor_missing_a_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "missing key(s) m" in err
+    # text that is not JSON, and arrays nested past the interpreter's depth,
+    # at the top or in places: one line that names the file
+    nested = "[" * 100_000 + "]" * 100_000
+    in_places = json.dumps({**descriptor, "m": 2, "places": None}).replace("null", nested)
+    for text in ("not json", "[" * 100_000, in_places):
+        scheme.write_text(text)
+        assert main(["multiply", "--scheme", str(scheme), "--a", str(a_path),
+                     "--b", str(b_path), "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scheme}: scheme descriptor is not readable JSON: ")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("error")  # a numpy warning would print above the error line
@@ -264,6 +276,17 @@ def test_audit_failure_exits_2(monkeypatch, capsys):
     monkeypatch.setattr("agsdmm.cli.empirical_secrecy_audit", lambda *a, **k: failed)
     assert main(["audit", "--m", "2", "--n", "2", "--x", "1", "--q", "5"]) == 2
     assert "FAIL" in capsys.readouterr().out
+    # a passing view audit whose generator the certificate refuses: two
+    # workers at x = 1, or rows that are not xs^k
+    xs = [0, 1, 1, 3, 4]
+    vandermonde = [[1] * 5, xs]
+    for place_xs, generator in ((xs, vandermonde), ([0, 1, 2, 3, 4], vandermonde)):
+        report = dataclasses.replace(failed, x=2, place_xs=place_xs, mask_generator=generator,
+                                     views_uniform=True, passed=True, failure=None)
+        monkeypatch.setattr("agsdmm.cli.empirical_secrecy_audit", lambda *a, **k: report)
+        assert main(["audit", "--m", "2", "--n", "2", "--x", "2", "--q", "5"]) == 2
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "mask generator MDS check (every 2x2 submatrix invertible): FAIL")
 
 
 def test_degree_table_command(capsys):

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from agsdmm import (
     LUFactorization,
     SingularMatrixError,
-    all_square_submatrices_invertible,
     linalg,
     matmul_mod,
     rank,
     write_matrix_csv,
 )
 from agsdmm.linalg import PANEL_WIDTH, echelon
+from conftest import all_square_submatrices_invertible
 
 # one prime per tier of the products mod q inside the elimination and the
 # triangular solves, whose inner lengths run from 1 to PANEL_WIDTH and beyond:
@@ -316,7 +316,6 @@ def test_every_public_entry_refuses_a_bad_modulus(q, tmp_path):
         lambda: rank([[3, 1]], q),
         lambda: echelon([[3, 1]], q),
         lambda: LUFactorization([[3]], q),
-        lambda: all_square_submatrices_invertible([[3, 1]], q),
         lambda: write_matrix_csv(tmp_path / "m.csv", [[1, 2]], q),
     )
     for call in calls:
@@ -376,14 +375,7 @@ def test_all_square_submatrices_invertible_examples():
     assert not all_square_submatrices_invertible([[0, 1, 2]], 7)  # zero column, X = 1
     repeated = [[1, 1, 2], [3, 3, 4]]  # two equal columns, X = 2
     assert not all_square_submatrices_invertible(repeated, 5)
-
-
-def test_all_square_submatrices_cap(monkeypatch):
-    wide = np.ones((2, 50), dtype=int)
-    monkeypatch.setattr(linalg, "SUBMATRIX_CHECK_CAP", 100)
-    with pytest.raises(ValueError, match="1225 submatrices to check exceeds the cap 100"):
-        all_square_submatrices_invertible(wide, 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="row count 3 exceeds column count 2"):
         all_square_submatrices_invertible(np.ones((3, 2), dtype=int), 7)
 
 

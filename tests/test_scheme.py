@@ -20,7 +20,6 @@ from hypothesis.extra import numpy as hnp
 import agsdmm
 from agsdmm import (
     SchemeParams,
-    all_square_submatrices_invertible,
     build_scheme,
     derive_parameters,
     distinct_sums,
@@ -38,6 +37,7 @@ from agsdmm.field import is_prime
 from agsdmm.function_field import evaluation_matrix, select_distinct_x_places
 from agsdmm.linalg import LUFactorization
 from agsdmm.scheme import orient, pole_sequences, worker_bound, worker_count
+from conftest import all_square_submatrices_invertible
 from test_function_field import _evaluate, _exponents, _place_count
 
 SWEEP = [
@@ -147,6 +147,14 @@ def test_structural_checks_survive_python_O():
             print(exc)
         else:
             sys.exit("table count off its closed form accepted")
+        # and masks other than 1, x, ..., x^(X-1)
+        scheme.pole_sequences = lambda m, n, x: (d, phi, (0, 4) + gamma[2:])
+        try:
+            derive_parameters(4, 3, 2)
+        except RuntimeError as exc:
+            print(exc)
+        else:
+            sys.exit("mask orders other than 0, 2 accepted")
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(agsdmm.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
@@ -154,6 +162,7 @@ def test_structural_checks_survive_python_O():
     assert out.returncode == 0, out.stderr
     assert "distinct entries" in out.stdout
     assert "worker count equals its closed form" in out.stdout
+    assert "both sides' mask orders are 0, 2, ..., 2X - 2" in out.stdout
 
 
 def test_resolve_orientation():
@@ -886,6 +895,40 @@ def test_security_generator_is_vandermonde(inst432):
         assert all_square_submatrices_invertible(gen, q)
     with pytest.raises(ValueError):
         inst432.security_generator("C")
+
+
+def test_an_information_set_with_a_repeated_x_is_refused(monkeypatch):
+    # candidate 32 becomes (19, 46), the mirror of the chosen place (19, 15);
+    # G[C] is singular at the leading places, and the wide elimination picks
+    # columns 0..30 and 32, two workers at x = 19
+    params = SchemeParams(2, 5, 6)
+    poles = derive_parameters(2, 5, 6)
+    candidates = select_distinct_x_places(61, poles.d, poles.code_degree + 1)
+    assert candidates[19].tolist() == [19, 15]
+    candidates[32] = (19, 46)
+    message = ("the information set repeats an x-coordinate, so some X = 6 workers' "
+               "mask block is singular")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        scheme.SchemeInstance(params, poles, 61, candidates)
+    # without the certificate the scheme is built, and 6 colluders holding
+    # both places see a mask block of rank 5
+    monkeypatch.setattr(scheme, "_mask_code_is_mds", lambda xs, x: True)
+    inst = scheme.SchemeInstance(params, poles, 61, candidates)
+    assert inst.column_indices == [*range(31), 32]
+    block = inst.security_generator("A")[:, [0, 1, 2, 3, 19, 31]]
+    assert rank(block, 61) == 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), q=st.sampled_from([3, 5, 7, 11]), x=st.integers(1, 3))
+def test_the_certificate_is_the_exhaustive_oracle(data, q, x):
+    # with repeats drawn as often as without: xs in [0, q), at least x of them
+    xs = data.draw(st.one_of(
+        st.lists(st.integers(0, q - 1), min_size=x, max_size=8),
+        st.lists(st.integers(0, q - 1), min_size=x, max_size=min(8, q), unique=True)))
+    generator = [[pow(v, k, q) for v in xs] for k in range(x)]
+    assert scheme._mask_code_is_mds(xs, x) == all_square_submatrices_invertible(
+        generator, q)
 
 
 def test_scheme_descriptor_roundtrip(tmp_path, inst221):
