@@ -191,6 +191,7 @@ def compare_sweep(m_values, n_values, x_values) -> tuple[list[SweepPoint], Sweep
     Each distinct value is checked once, and the first point, in (m, n, x)
     order, holding an invalid one is refused as _check_positive refuses it;
     when some axis's values do not sort, every axis is taken in its given order.
+    An empty axis gives the empty sweep, whatever the other axes hold.
     """
     axes = [v if isinstance(v, range) else list(v) for v in (m_values, n_values, x_values)]
     try:
@@ -202,6 +203,8 @@ def compare_sweep(m_values, n_values, x_values) -> tuple[list[SweepPoint], Sweep
                 for v in axes)
     if size > SWEEP_POINT_CAP:
         raise ValueError(f"sweep of {size} points exceeds the cap of {SWEEP_POINT_CAP} points")
+    if not size:  # an empty axis: no point holds an invalid value
+        return [], SweepSummary(0, 0, 0)
     axes = [sorted(v) if isinstance(v, range) else v for v in axes]
     bad = [[i for i, v in enumerate(axis) if _refused(_check_positive, v, 1, 1)] for axis in axes]
     if any(bad):

@@ -74,6 +74,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_multiply(args) -> int:
+    if args.mask_seed is not None and args.mask_seed < 0:
+        raise ValueError(f"mask seed must be a non-negative integer, got {args.mask_seed}")
     instance = load_scheme(args.scheme)
     a, qa = read_matrix_csv(args.a)
     b, qb = read_matrix_csv(args.b)
@@ -82,7 +84,7 @@ def cmd_multiply(args) -> int:
             raise ValueError(
                 f"matrix {name} is over F_{q_in} but the scheme works over F_{instance.q}"
             )
-    result, transcript = run_protocol(a, b, instance)
+    result, transcript = run_protocol(a, b, instance, args.mask_seed)
     write_matrix_csv(args.out, result, instance.q)
     if args.transcript:
         transcript.to_jsonl(args.transcript)
@@ -144,6 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--transcript", default=None)
+    p.add_argument("--mask-seed", type=int, default=None,
+                   help="seed of the masks, for a reproducible run; by default they come from OS entropy")
     p.set_defaults(func=cmd_multiply)
 
     point_command("audit", "exhaustive secrecy audit plus the Vandermonde MDS certificate",

@@ -10,7 +10,10 @@ has at least FLOOR_REDUCE_MIN entries, and as int64 otherwise; the output is
 int64 either way. Those reductions, and the elimination's and the solves'
 block updates, run in place as x - q (x // q) from FLOOR_REDUCE_MIN entries
 on, since numpy divides by a scalar through libdivide and np.remainder does
-not; smaller arrays keep np.remainder. Inside a panel of the elimination
+not; smaller arrays keep np.remainder. A product whose b and result fit one
+chunk of CHUNK_BYTES, as every worker product of a run does, takes no chunk
+or limb bookkeeping: one cast per operand, one product, one cast and one
+reduction. Inside a panel of the elimination
 the reduction is delayed: a panel's trailing block is reduced once every k
 pivots, k the largest number of products of two residues that int64 can
 take on top of a residue, at most PANEL_WIDTH (2 at q = 2^31 - 1). Every
@@ -21,7 +24,9 @@ Rows of the inverse of a Vandermonde matrix have a closed form and take no
 elimination (_inverse_vandermonde). Operands are reduced only where an entry
 lies outside [0, q). The modulus is checked once, at the public entries, to
 be an integer in [2, 2^31); input enters through one int64 intake that
-refuses float, complex and out-of-int64 input from its dtype alone.
+refuses float, complex and out-of-int64 input from its dtype alone. A native
+int64 ndarray, as every share and response is, passes the intake as it is,
+and its range check is one argmax over its uint64 view.
 """
 
 from __future__ import annotations
@@ -113,9 +118,14 @@ def _as_int64(m) -> np.ndarray:
 def _reduced(m, q: int) -> np.ndarray:
     # m as int64 in [0, q); the remainder pass runs only when a check finds an
     # entry outside, as it does not for shares fresh from encode. Read as
-    # unsigned, a negative entry is at least 2^63, so one max covers both ends.
-    m = _as_int64(m)
-    if m.size and m.view(np.uint64).max() >= q:
+    # unsigned, a negative entry is at least 2^63, so one largest entry covers
+    # both ends; argmax finds it in a third of the time of a max reduction on
+    # a small operand. A native int64 ndarray, as every share and response
+    # is, is taken as it is, without _as_int64's conversion and dtype tests.
+    if type(m) is not np.ndarray or m.dtype != np.int64:
+        m = _as_int64(m)
+    unsigned = m.view(np.uint64)
+    if m.size and unsigned.item(unsigned.argmax()) >= q:
         m = m % q
     return m
 
@@ -179,14 +189,15 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     limbs = dtype is np.int64 and inner * (q - 1) ** 2 >= INT64_EXACT
     # reducing the exact float sums as integers is an order of magnitude
     # faster than np.fmod
-    a = a.astype(dtype, copy=False)
-    step = max(1, CHUNK_BYTES // ((16 if limbs else 8) * max(rows, inner, 1)))
-    if cols <= step and not limbs:
-        # the chunk loop would add microseconds to each of the hundreds of
-        # small products a run makes
-        out = (a @ b.astype(dtype, copy=False)).astype(reduce, copy=False)
+    if not limbs and 8 * cols * max(rows, inner) <= CHUNK_BYTES:
+        # b and the result fit one chunk, as in each of the hundreds of small
+        # products a run makes: one cast per operand, one product, one cast
+        # to the reduction's dtype and one reduction, with no chunk bookkeeping
+        out = (a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)).astype(reduce, copy=False)
         _reduce_in_place(out, q)
         return out.astype(np.int64, copy=False)
+    a = a.astype(dtype, copy=False)
+    step = max(1, CHUNK_BYTES // ((16 if limbs else 8) * max(rows, inner, 1)))
     out = np.empty((rows, cols), dtype=np.int64)
     for c0 in range(0, cols, step):
         chunk, bc = out[:, c0:c0 + step], b[:, c0:c0 + step]

@@ -85,22 +85,27 @@ class CollusionView:
 
 
 def run_protocol(a, b, instance: SchemeInstance, rng=None):
-    """Encode, fan out to all workers, decode; returns (product, transcript)."""
+    """Encode, fan out to all workers, decode; returns (product, transcript).
+
+    rng, a numpy Generator or a seed for one, supplies the masks. Without it
+    the masks are drawn from OS entropy, so no two runs share them; a seed or
+    a seeded Generator reproduces a run.
+    """
     a = linalg._as_int64(a)
     b = linalg._as_int64(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(f"expected 2-D matrices, got shapes {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    if rng is None:
-        rng = np.random.default_rng(instance.params.seed)
+    rng = np.random.default_rng(rng)
     shares_a = instance.encode("A", a, rng)
     shares_b = instance.encode("B", b, rng)
     responses = instance.worker_products(shares_a, shares_b)
     result = instance.decode(responses)
     records = [
-        WorkerRecord(i, tuple(place), shares_a.shares[i], shares_b.shares[i], responses[i])
-        for i, place in enumerate(instance.places.tolist())
+        WorkerRecord(i, (x, y), share_a, share_b, response)
+        for i, ((x, y), share_a, share_b, response) in enumerate(
+            zip(instance.places.tolist(), shares_a.shares, shares_b.shares, responses))
     ]
     transcript = Transcript(
         q=instance.q, m=instance.params.m, n=instance.params.n,

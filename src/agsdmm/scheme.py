@@ -435,7 +435,13 @@ class SchemeInstance:
         """Recover the full product from all N worker responses."""
         if len(responses) != self.n_workers:
             raise ValueError(f"need all {self.n_workers} responses, got {len(responses)}")
-        stacked = linalg._reduced(np.stack(responses), self.q)
+        try:
+            # one C pass over the responses; np.stack spends 0.1 ms of Python
+            # per 300 of them, and is kept for its message on unequal shapes
+            stacked = np.array(responses)
+        except ValueError:
+            stacked = np.stack(responses)
+        stacked = linalg._reduced(stacked, self.q)
         if stacked.ndim != 3:
             raise ValueError(f"responses must be 2-D matrices, got shape {stacked.shape[1:]}")
         n, br, bc = stacked.shape
@@ -545,7 +551,7 @@ def load_scheme(path) -> SchemeInstance:
     rebuilt = instance.to_dict()
     mismatched = [k for k in data if k not in rebuilt or rebuilt[k] != data[k]]
     if mismatched:
-        raise ValueError(f"scheme descriptor does not match its rebuild: {mismatched}")
+        raise ValueError(f"{path}: scheme descriptor does not match its rebuild: {mismatched}")
     return instance
 
 

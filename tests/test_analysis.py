@@ -4,6 +4,7 @@ import io
 import re
 from fractions import Fraction
 from itertools import product
+from math import prod
 from types import SimpleNamespace
 
 import pytest
@@ -385,9 +386,10 @@ def test_compare_sweep_refuses_invalid_points(axes, message):
 
 @settings(max_examples=150, deadline=None)
 @given(axes=st.lists(st.lists(st.one_of(st.integers(-2, 4), st.sampled_from([0.5, 2.5])),
-                              min_size=1, max_size=4), min_size=3, max_size=3))
+                              min_size=0, max_size=4), min_size=3, max_size=3))
 def test_compare_sweep_refuses_the_first_invalid_point(axes):
-    # each point in (m, n, x) order through workers_a3s, which refuses as _check_positive does
+    # each point in (m, n, x) order through workers_a3s, which refuses as _check_positive does;
+    # an empty axis makes no point, so nothing is refused and the sweep is empty
     message = None
     for point in product(*(sorted(set(axis)) for axis in axes)):
         try:
@@ -396,7 +398,8 @@ def test_compare_sweep_refuses_the_first_invalid_point(axes):
             message = str(exc)
             break
     if message is None:
-        compare_sweep(*axes)
+        points, summary = compare_sweep(*axes)
+        assert len(points) == summary.total == prod(len(set(axis)) for axis in axes)
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             compare_sweep(*axes)

@@ -133,6 +133,35 @@ def test_build_multiply_pipeline(tmp_path, capsys):
     assert "product 4x6" in capsys.readouterr().out
 
 
+def test_multiply_mask_seed_reproduces_the_run(tmp_path):
+    # --mask-seed fixes the masks, so two runs write the same bytes; without
+    # it every run draws fresh masks and its transcript differs
+    scheme = tmp_path / "scheme.json"
+    assert main(["build", "--m", "2", "--n", "2", "--x", "1", "--out", str(scheme)]) == 0
+    rng = np.random.default_rng(2)
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_matrix_csv(a_path, rng.integers(0, 17, size=(4, 6)), 17)
+    write_matrix_csv(b_path, rng.integers(0, 17, size=(6, 6)), 17)
+
+    def run(name, *seed):
+        out, transcript = tmp_path / f"{name}.csv", tmp_path / f"{name}.jsonl"
+        with redirect_stdout(io.StringIO()):
+            assert main(["multiply", "--scheme", str(scheme), "--a", str(a_path), "--b", str(b_path),
+                         "--out", str(out), "--transcript", str(transcript), *seed]) == 0
+        return out.read_bytes(), transcript.read_bytes()
+
+    first, second = run("first", "--mask-seed", "7"), run("second", "--mask-seed", "7")
+    assert first == second
+    fresh = run("fresh")
+    assert fresh[0] == first[0] and fresh[1] != first[1]
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(["multiply", "--scheme", str(scheme), "--a", str(a_path), "--b", str(b_path),
+                     "--out", str(tmp_path / "refused.csv"), "--mask-seed", "-1"]) == 1
+    assert err.getvalue() == "error: mask seed must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "refused.csv").exists()
+
+
 def test_multiply_empty_product_reads_back(tmp_path, capsys):
     scheme = tmp_path / "scheme.json"
     assert main(["build", "--m", "2", "--n", "2", "--x", "1", "--out", str(scheme)]) == 0
@@ -188,6 +217,12 @@ def test_multiply_rejects_descriptor_missing_a_key(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {scheme}: scheme descriptor is not readable JSON: ")
         assert err.count("\n") == 1
+    # a descriptor that its rebuild does not match names the file and the keys
+    scheme.write_text(json.dumps({**descriptor, "m": 2, "N": 9}))
+    assert main(["multiply", "--scheme", str(scheme), "--a", str(a_path),
+                 "--b", str(b_path), "--out", str(tmp_path / "c.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {scheme}: scheme descriptor does not match its rebuild: ['N']\n")
 
 
 @pytest.mark.filterwarnings("error")  # a numpy warning would print above the error line

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -460,6 +461,62 @@ def test_tiers_are_numpy_dtypes(inner, q):
         product, reduce = linalg._tiers(inner, q, size)
         assert product in (np.float32, np.float64, np.int64)
         assert reduce in (np.int32, np.int64)
+
+
+# the bounds of the product tiers: float32, the int32 reduction, float64 and plain int64
+TIER_LIMITS = (linalg.FLOAT32_EXACT, linalg.INT32_EXACT, linalg.FLOAT64_EXACT, linalg.INT64_EXACT)
+
+
+@st.composite
+def _products(draw):
+    # (a, b, q): the result's size on both sides of FLOOR_REDUCE_MIN and, with
+    # an inner length near CHUNK_BYTES / 8 per column, b on both sides of one
+    # chunk; q one side or the other of a tier limit for the inner length;
+    # entries reduced, all q - 1, or any int64 with negative and >= q ones
+    # strewn in; int64, int32, uint8 or bool operands, as plain, reversed or
+    # transposed views
+    cut, chunk = linalg.FLOOR_REDUCE_MIN, linalg.CHUNK_BYTES // 8
+    kind = draw(st.sampled_from(["small", "reduction", "chunk"]))
+    if kind == "small":
+        rows, inner, cols = draw(st.integers(0, 5)), draw(st.integers(1, 40)), draw(st.integers(0, 6))
+    elif kind == "reduction":
+        rows, inner = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        cols = -(-cut // rows) - draw(st.integers(0, 1))
+    else:
+        rows, cols = draw(st.integers(1, 2)), draw(st.sampled_from([1, 2, 16]))
+        inner = chunk // cols + draw(st.integers(0, 1))
+    limit = draw(st.sampled_from(TIER_LIMITS))
+    # the largest q with inner (q - 1)^2 < limit, or the next one, within the modulus range
+    q = min(max(2, 1 + math.isqrt((limit - 1) // inner) + draw(st.integers(0, 1))), 2**31 - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fill = draw(st.sampled_from(["residues", "top", "any"]))
+
+    def operand(shape):
+        view = draw(st.sampled_from(["plain", "reversed", "transposed"]))
+        base = shape[::-1] if view == "transposed" else shape
+        if fill == "residues":
+            m = rng.integers(0, q, size=base)
+        elif fill == "top":
+            m = np.full(base, q - 1, dtype=np.int64)
+        else:
+            m = rng.integers(-2**63, 2**63 - 1, size=base, endpoint=True)
+        if m.size:
+            edges = [-2**63, -q, -1, q, 2**63 - 1]
+            for value in draw(st.lists(st.sampled_from(edges), max_size=4)):
+                m.flat[rng.integers(m.size)] = value
+        m = m.astype(draw(st.sampled_from([np.int64, np.int32, np.uint8, np.bool_])))
+        return {"plain": m, "reversed": m[::-1, ::-1], "transposed": m.T}[view]
+
+    return operand((rows, inner)), operand((inner, cols)), q
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_products())
+def test_matmul_mod_is_the_python_integer_product(case):
+    a, b, q = case
+    got = matmul_mod(a, b, q)
+    assert got.dtype == np.int64 and got.shape == (a.shape[0], b.shape[1])
+    assert got.tolist() == ((_exact(a) @ _exact(b)) % q).tolist()
 
 
 def test_matmul_mod_refuses_input_int64_cannot_hold():

@@ -86,16 +86,25 @@ def test_result_matches_plain_product(inst221):
     assert np.array_equal(result, a @ b % inst221.q)
 
 
-def test_default_rng_comes_from_scheme_seed():
+def test_default_masks_differ_between_runs():
+    # without an rng the masks come from OS entropy, not from the descriptor's
+    # seed: two runs of one scheme on the same inputs share no worker's A or B
+    # share (each of at least 12 uniform entries mod 17, so a chance match is
+    # at most 17^-12)
     inst = build_scheme(SchemeParams(2, 2, 1, seed=99))
-    a = np.arange(8).reshape(4, 2)
-    b = np.arange(12).reshape(2, 6)
+    a = np.arange(24).reshape(4, 6)
+    b = np.arange(36).reshape(6, 6)
     r1, t1 = run_protocol(a, b, inst)
     r2, t2 = run_protocol(a, b, inst)
-    assert np.array_equal(r1, r2)
-    for rec1, rec2 in zip(t1.records, t2.records):
-        assert np.array_equal(rec1.a_share, rec2.a_share)
-        assert np.array_equal(rec1.b_share, rec2.b_share)
+    assert np.array_equal(r1, a @ b % inst.q) and np.array_equal(r2, r1)
+    for rec1, rec2 in zip(t1.records, t2.records, strict=True):
+        assert (rec1.a_share.size, rec1.b_share.size) == (12, 18)
+        assert not np.array_equal(rec1.a_share, rec2.a_share)
+        assert not np.array_equal(rec1.b_share, rec2.b_share)
+    # a seed, given as an int or as a Generator, reproduces the masks
+    lines = [run_protocol(a, b, inst, rng)[1].to_jsonl_lines()
+             for rng in (5, np.random.default_rng(5))]
+    assert lines[0] == lines[1]
 
 
 def test_inner_dimension_mismatch(inst221):

@@ -864,6 +864,25 @@ def test_decode_validation(inst221):
         inst221.worker_products(enc_b, enc_a)
 
 
+@pytest.mark.parametrize("m,n,x,shape", [(2, 2, 1, (4, 2, 6)), (14, 14, 10, (14, 3, 14))])
+def test_worker_products_make_one_checked_product_per_worker(m, n, x, shape, monkeypatch):
+    # the simulated pool: each worker multiplies its own two shares, and only
+    # those, through the public matmul_mod, once; no product spans workers
+    inst = build_scheme(SchemeParams(m, n, x))
+    rng = np.random.default_rng(3)
+    rows, inner, cols = shape
+    enc_a = inst.encode("A", rng.integers(0, inst.q, size=(rows, inner)), rng)
+    enc_b = inst.encode("B", rng.integers(0, inst.q, size=(inner, cols)), rng)
+    calls = []
+    checked = agsdmm.linalg.matmul_mod
+    monkeypatch.setattr(agsdmm.linalg, "matmul_mod",
+                        lambda a, b, q: calls.append((a, b, q)) or checked(a, b, q))
+    responses = inst.worker_products(enc_a, enc_b)
+    assert len(calls) == len(responses) == inst.n_workers
+    for (a, b, q), share_a, share_b in zip(calls, enc_a.shares, enc_b.shares, strict=True):
+        assert a is share_a and b is share_b and q == inst.q
+
+
 def test_star_product_dimension(inst221, inst432):
     assert _star_product_dimension(inst221, _candidates(inst221)) == 8
     assert _star_product_dimension(inst432, _candidates(inst432)) == 24
