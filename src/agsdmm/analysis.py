@@ -14,6 +14,9 @@ int division m*n / N, as str and float of its Fraction would:
                 package's scope; win statistics against it are therefore a
                 bound-based analog of published exact-threshold figures, not
                 a reproduction of them.
+
+compare_sweep counts a grid in numpy array passes through the closed forms of the
+per-point counts: in int64, or in Python ints where a count could pass 2^63.
 """
 
 from __future__ import annotations
@@ -22,13 +25,15 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+import operator
 from math import gcd, prod
 from pathlib import Path
 from typing import NamedTuple
 
-from .scheme import (_check_positive, _curve_degree, _even_first, _worker_count, distinct_sums,
-                     orient, worker_bound, worker_count)
+import numpy as np
+
+from .scheme import (_check_positive, _degree, _min, _worker_count, distinct_sums, orient,
+                     worker_bound, worker_count)
 
 SWEEP_CAVEAT = (
     "gasp_big is an upper bound, not the exact GASP threshold; "
@@ -64,7 +69,7 @@ def workers_gasp_big(m: int, n: int, x: int) -> int:
 
 
 def _a3s(m: int, n: int, x: int) -> int:
-    return min((m + x) * (n + 1) - 1, (n + x) * (m + 1) - 1)
+    return _min((m + x) * (n + 1) - 1, (n + x) * (m + 1) - 1)
 
 
 def _gasp_big(m: int, n: int, x: int) -> int:
@@ -188,19 +193,20 @@ def compare_sweep(m_values, n_values, x_values) -> tuple[list[SweepPoint], Sweep
     """Evaluate all three schemes across the given values, sorted by (m, n, x).
 
     A grid above SWEEP_POINT_CAP is refused before any axis is materialised.
-    Each distinct value is checked once, and the first point, in (m, n, x)
-    order, holding an invalid one is refused as _check_positive refuses it;
-    when some axis's values do not sort, every axis is taken in its given order.
-    An empty axis gives the empty sweep, whatever the other axes hold.
+    Every given value is checked, and the first point, in (m, n, x) order, holding an
+    invalid one is refused as _check_positive refuses it; when some axis's values do not
+    sort, every axis is taken in its given order. An empty axis gives the empty sweep,
+    whatever the other axes hold. Points hold each distinct value once, as an int.
     """
     axes = [v if isinstance(v, range) else list(v) for v in (m_values, n_values, x_values)]
     try:
-        axes = [v if isinstance(v, range) else sorted(set(v)) for v in axes]
+        axes = [v if isinstance(v, range) else sorted(v) for v in axes]
+        distinct = [v if isinstance(v, range) else set(v) for v in axes]
     except TypeError:  # a value that is not a number, which the integer check refuses
-        pass
+        distinct = axes
     # len() of a range past sys.maxsize overflows
     size = prod((v[-1] - v[0]) // v.step + 1 if isinstance(v, range) and v else len(v)
-                for v in axes)
+                for v in distinct)
     if size > SWEEP_POINT_CAP:
         raise ValueError(f"sweep of {size} points exceeds the cap of {SWEEP_POINT_CAP} points")
     if not size:  # an empty axis: no point holds an invalid value
@@ -211,21 +217,20 @@ def compare_sweep(m_values, n_values, x_values) -> tuple[list[SweepPoint], Sweep
         # per axis, the first point holding one of its invalid values; the earliest of those
         at = min([0] * k + b[:1] + [0] * (2 - k) for k, b in enumerate(bad) if b)
         _check_positive(*(axis[i] for axis, i in zip(axes, at)))
-    m_axis, n_axis, x_axis = axes
-    points = []
-    for m, n in product(m_axis, n_axis):
-        me, ne, _ = _even_first(m, n) or (None, None, None)
-        # d grows with x, so the supported values are a suffix of the ascending axis
-        first = len(x_axis) if me is None else next(
-            (i for i, x in enumerate(x_axis) if not _refused(_curve_degree, me, ne, x)), len(x_axis))
-        for i, x in enumerate(x_axis):
-            ag = ag_bound = None
-            if i >= first:
-                ag, ag_bound = _worker_count(me, ne, x), worker_bound(me, ne, x)
-            # _make skips the keyword handling of the generated __new__
-            points.append(SweepPoint._make((m, n, x, ag, ag_bound, _a3s(m, n, x), _gasp_big(m, n, x))))
-    supported = sum(p.ag is not None for p in points)
-    return points, SweepSummary(len(points), supported, sum(p.ag_wins for p in points))
+    axes = [sorted(set(map(operator.index, axis))) for axis in axes]
+    # every count and intermediate is below 4(m + x + 1)(n + x + 1) at the largest values
+    m, n, x = (axis[-1] for axis in axes)
+    dtype = np.int64 if 4 * (m + x + 1) * (n + x + 1) < 2**63 else object
+    m, n, x = np.meshgrid(*(np.array(axis, dtype=dtype) for axis in axes), indexing="ij")
+    me, ne = np.where(m % 2 == 1, [n, m], [m, n])  # orient's even count first, if either is
+    supported = (me % 2 == 0) & _degree(me, ne, x)[1]
+    ag, a3s, gasp_big = _worker_count(me, ne, x), _a3s(m, n, x), _gasp_big(m, n, x)
+    wins = supported & (ag < a3s) & (ag < gasp_big)
+    columns = (m, n, x, np.where(supported, ag, None),
+               np.where(supported, worker_bound(me, ne, x), None), a3s, gasp_big)
+    # _make skips the keyword handling of the generated __new__
+    points = list(map(SweepPoint._make, zip(*(c.ravel().tolist() for c in columns))))
+    return points, SweepSummary(len(points), *(int(np.count_nonzero(c)) for c in (supported, wins)))
 
 
 def _refused(check, *args) -> bool:

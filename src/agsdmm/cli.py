@@ -94,15 +94,21 @@ def cmd_multiply(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    report = empirical_secrecy_audit(args.m, args.n, args.x, args.q)
-    for line in report.summary_lines():
-        print(line)
-    xs = report.place_xs
-    mds_ok = (report.mask_generator == [[pow(v, k, args.q) for v in xs] for k in range(args.x)]
-              and _mask_code_is_mds(xs, args.x))
-    print(f"mask generator MDS check (every {args.x}x{args.x} submatrix invertible): "
+    if (args.m, args.n, args.x, args.q).count(None) != 4 * (args.scheme is not None):
+        raise ValueError("audit takes --scheme, or all of --m, --n, --x and --q")
+    if args.scheme is not None:
+        instance = load_scheme(args.scheme)  # rebuilt from its parameters and certified
+        x, xs, passed, generator_ok = instance.poles.x, instance.places[:, 0], True, True
+        print(f"{args.scheme}: {instance.n_workers} workers over F_{instance.q}, X = {x}")
+    else:
+        report = empirical_secrecy_audit(args.m, args.n, args.x, args.q)
+        print(*report.summary_lines(), sep="\n")
+        x, xs, passed = args.x, report.place_xs, report.passed
+        generator_ok = report.mask_generator == [[pow(v, k, args.q) for v in xs] for k in range(x)]
+    mds_ok = generator_ok and _mask_code_is_mds(xs, x)
+    print(f"mask generator MDS check (every {x}x{x} submatrix invertible): "
           f"{'PASS' if mds_ok else 'FAIL'}")
-    return EXIT_OK if report.passed and mds_ok else EXIT_VERIFICATION_FAILED
+    return EXIT_OK if passed and mds_ok else EXIT_VERIFICATION_FAILED
 
 
 def cmd_degree_table(args) -> int:
@@ -127,11 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="agsdmm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def point_command(name, text, func, q_required=False):
+    def point_command(name, text, func, required=True):
         p = sub.add_parser(name, help=text)
         for flag in ("--m", "--n", "--x"):
-            p.add_argument(flag, type=int, required=True)
-        p.add_argument("--q", type=int, required=q_required, default=None)
+            p.add_argument(flag, type=int, required=required)
+        p.add_argument("--q", type=int, default=None)
         p.set_defaults(func=func)
         return p
 
@@ -150,8 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed of the masks, for a reproducible run; by default they come from OS entropy")
     p.set_defaults(func=cmd_multiply)
 
-    point_command("audit", "exhaustive secrecy audit plus the Vandermonde MDS certificate",
-                  cmd_audit, q_required=True)
+    p = point_command("audit", "exhaustive secrecy audit of --m, --n, --x over --q, or of a "
+                      "--scheme descriptor, with its MDS certificate", cmd_audit, required=False)
+    p.add_argument("--scheme", default=None)
 
     p = sub.add_parser("degree-table", help="outer-sum table of two exponent lists")
     p.add_argument("--a", required=True, help="comma-separated exponents, e.g. 0,1,2,9,12")

@@ -179,8 +179,13 @@ def worker_count(m: int, n: int, x: int) -> int:
     return _worker_count(m, n, x)
 
 
-def _worker_count(m: int, n: int, x: int) -> int:
-    return m * n + m + 3 * x - 2 + (n - 1) * min(x, m // 2)
+def _worker_count(m, n, x):
+    return m * n + m + 3 * x - 2 + (n - 1) * _min(x, m // 2)
+
+
+def _min(a, b):
+    # of ints, or of integer arrays; np.minimum refuses ints past int64 (OverflowError)
+    return (a + b - abs(a - b)) // 2
 
 
 def orient(m: int, n: int, x: int) -> tuple[int, int, bool]:
@@ -190,14 +195,9 @@ def orient(m: int, n: int, x: int) -> tuple[int, int, bool]:
     error names the parameter that is wrong.
     """
     _check_positive(m, n, x)
-    if (oriented := _even_first(m, n)) is None:
+    if m % 2 and n % 2:
         raise ValueError(f"at least one of m={m}, n={n} must be even")
-    return oriented
-
-
-def _even_first(m: int, n: int) -> tuple[int, int, bool] | None:
-    # orient's reordering of checked counts; None when both are odd
-    return (m, n, False) if m % 2 == 0 else (n, m, True) if n % 2 == 0 else None
+    return (m, n, False) if m % 2 == 0 else (n, m, True)
 
 
 def _curve_degree(m: int, n: int, x: int) -> int:
@@ -207,13 +207,18 @@ def _curve_degree(m: int, n: int, x: int) -> int:
         raise ValueError(f"m must be even and >= 2, got {m} (swap orientation for odd m)")
     if n < 1 or x < 1:
         raise ValueError(f"n and x must be >= 1, got n={n}, x={x}")
-    d = m * (n - 1) + 2 * x - 1
-    if d < 3:
+    d, supported = _degree(m, n, x)
+    if not supported:
         raise ValueError(
             f"unsupported parameters (m={m}, n={n}, x={x}): curve degree d={d} < 3 "
             "degenerates to the genus-0 case"
         )
     return d
+
+
+def _degree(m, n, x):
+    # d of valid counts with m even, and whether the construction supports it; of ints or arrays
+    return (d := m * (n - 1) + 2 * x - 1), d >= 3
 
 
 def pole_sequences(m: int, n: int, x: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:

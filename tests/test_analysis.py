@@ -7,6 +7,7 @@ from itertools import product
 from math import prod
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -438,10 +439,9 @@ def test_compare_sweep_counts_a_range_past_sys_maxsize(axes, points):
 oracle_axis = st.lists(st.one_of(st.integers(1, 5), st.integers(1, 10**18)), min_size=1, max_size=5)
 
 
-@settings(max_examples=150, deadline=None)
-@given(m_values=oracle_axis, n_values=oracle_axis, x_values=oracle_axis)
-@example([3, 2, 3], [1, 3, 1], [1, 10**18, 1])
-def test_compare_sweep_is_the_per_point_oracle(m_values, n_values, x_values):
+def _check_against_the_per_point_oracle(m_values, n_values, x_values):
+    # each point through the scalar API on Python ints, and every field an int or, for
+    # an unsupported ag, None
     expected = [
         SweepPoint(m, n, x, *(_ag_or_none(m, n, x) or (None, None)), workers_a3s(m, n, x),
                    workers_gasp_big(m, n, x))
@@ -449,8 +449,55 @@ def test_compare_sweep_is_the_per_point_oracle(m_values, n_values, x_values):
     ]
     points, summary = compare_sweep(m_values, n_values, x_values)
     assert points == expected and all(type(p) is SweepPoint for p in points)
+    assert all(type(v) is int or (v is None and k in ("ag", "ag_bound") and p.ag is None)
+               for p in points for k, v in p._asdict().items())
     assert summary == SweepSummary(len(expected), sum(p.ag is not None for p in expected),
                                    sum(p.ag_wins for p in expected))
+    assert all(type(v) is int for v in (summary.total, summary.ag_supported, summary.ag_wins))
     assert [sweep_point(*p[:3]) for p in expected] == expected
     text = format_sweep_csv(points)
     assert parse_sweep_csv(text) == points and format_sweep_csv(parse_sweep_csv(text)) == text
+    return points
+
+
+@settings(max_examples=150, deadline=None)
+@given(m_values=oracle_axis, n_values=oracle_axis, x_values=oracle_axis)
+@example([3, 2, 3], [1, 3, 1], [1, 10**18, 1])
+def test_compare_sweep_is_the_per_point_oracle(m_values, n_values, x_values):
+    _check_against_the_per_point_oracle(m_values, n_values, x_values)
+
+
+# the largest m, n and x put 4(m + x + 1)(n + x + 1), the bound below which the
+# counts are int64 arithmetic, at 2^63 - 2^32 and at 2^63: both sides of the
+# switch to Python ints, with supported, both-odd and d < 3 points on each
+@pytest.mark.parametrize("n_top,below", [(2**31 - 4, True), (2**31 - 3, False)])
+def test_compare_sweep_either_side_of_int64(n_top, below):
+    axes = ([2, 3, 2**30 - 4, 2**30 - 3], [1, 2, 3, n_top], [1, 2])
+    assert (4 * (2**30 - 3 + 2 + 1) * (n_top + 2 + 1) < 2**63) is below
+    points = _check_against_the_per_point_oracle(*axes)
+    assert {p.ag is None for p in points} == {True, False}
+    assert max(p.ag_bound or 0 for p in points) > 3 * 2**59
+
+
+def test_compare_sweep_checks_each_given_value_before_dropping_repeats():
+    # 2.0 == 2, so a set of the axis keeps whichever came first
+    message = "m, n, x must be integers, got (2.0, 1, 1)"
+    for m_values in ([2, 2.0], [2.0, 2]):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compare_sweep(m_values, [1], [1])
+
+
+def test_compare_sweep_points_hold_ints_for_bools():
+    points, _ = compare_sweep([2], [True, 1], [1, True, 2])
+    assert points == [sweep_point(2, 1, 1), sweep_point(2, 1, 2)]
+    assert all(type(v) is int for p in points for v in (p.m, p.n, p.x))
+    text = format_sweep_csv(points)
+    assert text.splitlines()[1].startswith("2,1,1,")
+    assert parse_sweep_csv(text) == points
+
+
+def test_compare_sweep_points_hold_ints_for_numpy_integers():
+    points, summary = compare_sweep([np.int64(2)], [np.uint8(3)], np.arange(1, 3))
+    assert points == [sweep_point(2, 3, 1), sweep_point(2, 3, 2)]
+    assert all(type(v) is int for p in points for v in p)
+    assert parse_sweep_csv(format_sweep_csv(points)) == points

@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -324,6 +326,54 @@ def test_audit_failure_exits_2(monkeypatch, capsys):
             "mask generator MDS check (every 2x2 submatrix invertible): FAIL")
 
 
+@pytest.mark.parametrize("m,n,x,seed", [(4, 3, 2, 11), (32, 32, 16, 0)])
+def test_audit_of_a_descriptor(tmp_path, capsys, m, n, x, seed):
+    # the README's descriptor, and the largest build on record
+    path = tmp_path / "scheme.json"
+    assert main(["build", "--m", str(m), "--n", str(n), "--x", str(x), "--seed", str(seed),
+                 "--out", str(path)]) == 0
+    descriptor = json.loads(path.read_text())
+    capsys.readouterr()
+    assert main(["audit", "--scheme", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{path}: {descriptor['N']} workers over F_{descriptor['q']}, X = {x}",
+        f"mask generator MDS check (every {x}x{x} submatrix invertible): PASS",
+    ]
+
+
+def test_audit_of_a_descriptor_exits_2_on_a_failed_certificate(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "scheme.json"
+    assert main(["build", "--m", "2", "--n", "2", "--x", "1", "--out", str(path)]) == 0
+    monkeypatch.setattr("agsdmm.cli._mask_code_is_mds", lambda xs, x: False)
+    capsys.readouterr()
+    assert main(["audit", "--scheme", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "mask generator MDS check (every 1x1 submatrix invertible): FAIL")
+
+
+@pytest.mark.parametrize("text", [None, "not json", "[]", '{"m": 2, "n": 2, "X": 1}',
+                                  '{"m": 3, "n": 3, "X": 1, "q": 17}'])
+def test_audit_of_an_unreadable_descriptor_exits_1(tmp_path, capsys, text):
+    path = tmp_path / "scheme.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["audit", "--scheme", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scheme", "s.json", "--m", "2"],
+    ["--m", "2", "--n", "2", "--x", "1"],
+    [],
+])
+def test_audit_takes_a_descriptor_or_a_point(capsys, argv):
+    assert main(["audit", *argv]) == 1
+    assert capsys.readouterr().err == (
+        "error: audit takes --scheme, or all of --m, --n, --x and --q\n")
+
+
 def test_degree_table_command(capsys):
     assert main(["degree-table", "--a", "0,1,2,9,12", "--b", "0,3,6,9,10"]) == 0
     out = capsys.readouterr().out
@@ -452,6 +502,135 @@ def test_compare_fuzzed_ranges_exit_cleanly(tmp_path_factory, m_range, n_range, 
     else:
         assert code == 1 and not out_path.exists()
         assert len(stderr.getvalue().splitlines()) == 1 and stderr.getvalue().startswith("error: ")
+
+
+def _exit_code_of(argv) -> int:
+    # main in process, an argparse refusal taken as its exit code: every example
+    # ends in 0, 1 or 2, a refusal in one error line, and no exception escapes
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = stderr.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 1:
+        assert "error: " in err.splitlines()[-1]
+    return code
+
+
+# small values that build in milliseconds, values past every cap, and text int() refuses
+int_texts = st.one_of(st.integers(-2, 12).map(str),
+                      st.sampled_from(["1000000", str(2**63), "1" + "0" * 30, "", "a", "2.0", "1e3",
+                                       " 3 ", "0x10", "-"]))
+q_texts = st.one_of(st.none(), st.integers(-2, 400).map(str),
+                    st.sampled_from([str(2**31 - 1), str(2**31), "1" + "0" * 30, "q"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=int_texts, n=int_texts, x=int_texts, q=q_texts)
+@example("3", "3", "1", None)
+@example("12", "12", "12", str(2**31 - 1))
+def test_params_fuzzed_exit_cleanly(m, n, x, q):
+    _exit_code_of(["params", f"--m={m}", f"--n={n}", f"--x={x}", *([f"--q={q}"] if q else [])])
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=int_texts, n=int_texts, x=int_texts, q=q_texts, seed=int_texts)
+@example("12", "12", "12", None, "0")
+@example("4", "3", "2", "37", "-1")
+def test_build_fuzzed_exit_cleanly(tmp_path_factory, m, n, x, q, seed):
+    out = tmp_path_factory.mktemp("build") / "scheme.json"
+    code = _exit_code_of(["build", f"--m={m}", f"--n={n}", f"--x={x}", f"--seed={seed}",
+                          f"--out={out}", *([f"--q={q}"] if q else [])])
+    assert out.exists() == (code == 0)
+
+
+exponent_texts = st.one_of(
+    st.lists(st.integers(-5, 40) | st.just(10**20), max_size=8).map(lambda v: ",".join(map(str, v))),
+    st.sampled_from(["", ",", "1,,2", "1,a", "0,1.5", "\x00", "1 ,2"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=exponent_texts, b=exponent_texts)
+@example("0,1,2,9,12", "0,3,6,9,10")
+def test_degree_table_fuzzed_exit_cleanly(a, b):
+    _exit_code_of(["degree-table", f"--a={a}", f"--b={b}"])
+
+
+@functools.cache
+def _multiply_inputs() -> tuple[str, str, str]:
+    # a (2, 2, 1) descriptor over F_17 and two CSVs of its field
+    scheme = build_scheme(SchemeParams(2, 2, 1, seed=5))
+    rng = np.random.default_rng(3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        texts = []
+        for shape in ((4, 3), (3, 2)):
+            write_matrix_csv(path, rng.integers(0, scheme.q, size=shape), scheme.q)
+            texts.append(path.read_text())
+    return json.dumps(scheme.to_dict()), *texts
+
+
+json_values = st.sampled_from([None, -1, 0, 1, 2, 3, 5, 17, 2**31, 2**63, 10**30, 1.5, "2",
+                               True, [], {}, [0, 1], {"x": 1, "y": 2}])
+csv_tokens = st.sampled_from(["", "-1", "0", "16", "17", "x", "1e3", "1.0", str(2**63),
+                              "1" + "0" * 30, "1_0", " 2", "0x1", "2,3"])
+
+
+@st.composite
+def mutated_descriptors(draw, text):
+    data = json.loads(text)
+    kind = draw(st.sampled_from(["key", "place", "drop", "truncate"]))
+    if kind == "key":
+        data[draw(st.sampled_from([*data, "extra"]))] = draw(json_values)
+    elif kind == "place":
+        place = draw(st.sampled_from(data["places"]))
+        place[draw(st.sampled_from(["x", "y", "z"]))] = draw(json_values)
+    elif kind == "drop":
+        del data[draw(st.sampled_from(list(data)))]
+    text = json.dumps(data)
+    return text[:draw(st.integers(0, len(text) - 1))] if kind == "truncate" else text
+
+
+@st.composite
+def mutated_csvs(draw, text):
+    lines = text.splitlines()
+    kind = draw(st.sampled_from(["cell", "drop", "repeat", "truncate"]))
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "cell":
+        cells = lines[i].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(csv_tokens)
+        lines[i] = ",".join(cells)
+    elif kind in ("drop", "repeat"):
+        lines[i:i + 1] = [lines[i]] * (kind == "repeat") * 2
+    text = "\n".join(lines) + "\n"
+    return text[:draw(st.integers(0, len(text) - 1))] if kind == "truncate" else text
+
+
+@settings(max_examples=50, deadline=None)
+@given(target=st.sampled_from(["scheme", "a", "b", None]), data=st.data(),
+       mask_seed=st.sampled_from([None, "0", "-1", str(2**70), "s"]))
+def test_multiply_fuzzed_inputs_exit_cleanly(tmp_path_factory, target, data, mask_seed):
+    # one input mutated, or none; a product written is the product of the inputs as read
+    texts = dict(zip(("scheme", "a", "b"), _multiply_inputs()))
+    if target == "scheme":
+        texts[target] = data.draw(mutated_descriptors(texts[target]))
+    elif target:
+        texts[target] = data.draw(mutated_csvs(texts[target]))
+    tmp = tmp_path_factory.mktemp("multiply")
+    paths = {name: tmp / f"{name}.{ext}" for name, ext in
+             (("scheme", "json"), ("a", "csv"), ("b", "csv"), ("c", "csv"), ("t", "jsonl"))}
+    for name, text in texts.items():
+        paths[name].write_text(text)
+    code = _exit_code_of(["multiply", *(f"--{k}={paths[k]}" for k in texts),
+                          f"--out={paths['c']}", f"--transcript={paths['t']}",
+                          *([f"--mask-seed={mask_seed}"] if mask_seed else [])])
+    assert paths["c"].exists() == (code == 0)
+    if code == 0:
+        (ma, q), (mb, _), (mc, qc) = (read_matrix_csv(paths[k]) for k in "abc")
+        assert qc == q and np.array_equal(mc, ma @ mb % q)
 
 
 def test_single_value_range(tmp_path):
