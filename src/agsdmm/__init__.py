@@ -18,7 +18,6 @@ from .field import is_prime
 from .linalg import (
     LUFactorization,
     SingularMatrixError,
-    echelon,
     matmul_mod,
     rank,
 )

@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from fractions import Fraction
 import operator
 from math import gcd, prod
 from pathlib import Path
@@ -128,7 +127,7 @@ class SweepPoint(NamedTuple):
     """Worker counts of the three schemes at one (m, n, x).
 
     ag and ag_bound are None where the construction does not support the point.
-    The rates, best and ag_wins derive from the counts.
+    best and ag_wins derive from the counts.
     """
 
     m: int
@@ -149,10 +148,6 @@ class SweepPoint(NamedTuple):
         counts = {"ag": self.ag, "a3s": self.a3s, "gasp_big": self.gasp_big}
         return {scheme: w for scheme, w in counts.items() if w is not None}
 
-    def rate(self, scheme: str) -> Fraction:
-        """Exact download rate m*n/N of one supported scheme in SCHEMES."""
-        return Fraction(self.m * self.n, getattr(self, scheme))
-
     @property
     def best(self) -> str:
         """The scheme with the fewest workers; ties go to the earlier one in SCHEMES."""
@@ -170,23 +165,15 @@ class SweepSummary:
     ag_supported: int
     ag_wins: int
 
-    @property
-    def win_fraction(self) -> Fraction:
-        return Fraction(self.ag_wins, self.total) if self.total else Fraction(0)
-
     def lines(self) -> list[str]:
-        pct = float(self.win_fraction) * 100
+        total = self.total or 1  # the empty sweep's share reads 0 = 0.0%
+        share = _rate_cells(self.ag_wins, total).partition(",")[0]
         return [
             f"swept {self.total} parameter points ({self.ag_supported} with ag support)",
             f"ag strictly below both baselines at {self.ag_wins} points "
-            f"({self.win_fraction} = {pct:.1f}%)",
+            f"({share} = {self.ag_wins / total * 100:.1f}%)",
             f"note: {SWEEP_CAVEAT}",
         ]
-
-
-def sweep_point(m: int, n: int, x: int) -> SweepPoint:
-    """The counts at one point: compare_sweep over a one-point grid."""
-    return compare_sweep((m,), (n,), (x,))[0][0]
 
 
 def compare_sweep(m_values, n_values, x_values) -> tuple[list[SweepPoint], SweepSummary]:

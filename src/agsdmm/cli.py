@@ -98,14 +98,17 @@ def cmd_audit(args) -> int:
         raise ValueError("audit takes --scheme, or all of --m, --n, --x and --q")
     if args.scheme is not None:
         instance = load_scheme(args.scheme)  # rebuilt from its parameters and certified
-        x, xs, passed, generator_ok = instance.poles.x, instance.places[:, 0], True, True
-        print(f"{args.scheme}: {instance.n_workers} workers over F_{instance.q}, X = {x}")
+        x, q, xs, passed = instance.poles.x, instance.q, instance.places[:, 0].tolist(), True
+        generators = [instance.security_generator(side).tolist() for side in "AB"]
+        print(f"{args.scheme}: {instance.n_workers} workers over F_{q}, X = {x}")
     else:
         report = empirical_secrecy_audit(args.m, args.n, args.x, args.q)
         print(*report.summary_lines(), sep="\n")
-        x, xs, passed = args.x, report.place_xs, report.passed
-        generator_ok = report.mask_generator == [[pow(v, k, args.q) for v in xs] for k in range(x)]
-    mds_ok = generator_ok and _mask_code_is_mds(xs, x)
+        x, q, xs, passed = args.x, args.q, report.place_xs, report.passed
+        generators = [report.mask_generator]
+    # the certificate holds for mask rows x^k, k < x, at the places
+    vandermonde = [[pow(v, k, q) for v in xs] for k in range(x)]
+    mds_ok = all(g == vandermonde for g in generators) and _mask_code_is_mds(xs, x)
     print(f"mask generator MDS check (every {x}x{x} submatrix invertible): "
           f"{'PASS' if mds_ok else 'FAIL'}")
     return EXIT_OK if passed and mds_ok else EXIT_VERIFICATION_FAILED

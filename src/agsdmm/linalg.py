@@ -220,21 +220,6 @@ def rank(rows, q: int) -> int:
     return len(_eliminate(as_matrix(rows, q), q)[0])
 
 
-def echelon(rows, q: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Greedy leftmost pivot columns of a k x n matrix A over F_q, with their LU factors.
-
-    Returns (cols, perm, lu). cols is the lexicographically first set of
-    columns that spans the column space, one per unit of rank r. perm lists
-    the rows of A in pivot order, so that A[perm][:, cols] = L U. lu is the
-    k x r compact factor: unit lower trapezoidal L below its diagonal and the
-    r x r upper triangular U on and above it.
-    """
-    q = _check_modulus(q)
-    a = as_matrix(rows, q)
-    cols, perm, _ = _eliminate(a, q)
-    return cols, np.array(perm, dtype=np.int64), a[:, cols]
-
-
 def _reduction_interval(q: int) -> int:
     """Pivots between reductions of a panel's trailing block.
 

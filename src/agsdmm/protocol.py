@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +48,6 @@ class Transcript:
     @property
     def n_workers(self) -> int:
         return len(self.records)
-
-    def responses(self) -> list[tuple[int, np.ndarray]]:
-        return [(rec.index, rec.response) for rec in self.records]
 
     def to_jsonl_lines(self) -> list[str]:
         """One line per record, exactly json.dumps of its index, place, a_share, b_share, response.
@@ -182,11 +179,12 @@ def empirical_secrecy_audit(
 ) -> SecrecyAuditReport:
     """Prove perfect secrecy at tiny scale by exact distribution comparison.
 
-    Uses scalar (1x1) blocks and enumerates every plaintext pair and every
-    mask assignment. For each collusion subset the exact histogram of the
-    colluders' view is tabulated per plaintext; secrecy holds iff all
-    plaintexts induce the identical histogram. Workers sit at every usable
-    place of the curve; decodability is deliberately not required here, so q
+    Uses scalar (1x1) blocks and enumerates every plaintext and every mask
+    assignment of each side. For each collusion subset the exact histogram of
+    the colluders' view of one side is tabulated per plaintext of that side;
+    secrecy holds iff all plaintext pairs induce the identical joint
+    histogram, the product of their sides' histograms. Workers sit at every
+    usable place of the curve; decodability is deliberately not required here, so q
     may be far below what a full scheme build needs.
     """
     if q > 7:
@@ -212,38 +210,27 @@ def empirical_secrecy_audit(
 
     subsets = list(combinations(range(n_aud), x))
 
-    def share_vectors(data, eval_rows):
-        # every mask assignment applied to one fixed plaintext vector
+    def views(data, eval_rows):
+        # each subset's histogram of one side's shares over that side's mask assignments
         coeffs = np.array([masks + data for masks in product(range(q), repeat=x)], dtype=np.int64)
-        return [tuple(v) for v in (coeffs @ eval_rows % q).tolist()]
+        vecs = (coeffs @ eval_rows % q).tolist()
+        return [Counter(tuple(v[i] for i in sub) for v in vecs) for sub in subsets]
 
-    reference: list[Counter] | None = None
-    views_uniform = True
-    failure = None
-    plaintexts = list(product(
-        product(range(q), repeat=m),
-        product(range(q), repeat=n),
-    ))
-    for a_data, b_data in plaintexts:
-        a_vecs = share_vectors(a_data, a_eval)
-        b_vecs = share_vectors(b_data, b_eval)
-        counters = []
-        for sub in subsets:
-            pa = [tuple(v[i] for i in sub) for v in a_vecs]
-            pb = [tuple(v[i] for i in sub) for v in b_vecs]
-            counters.append(Counter(product(pa, pb)))
-        if reference is None:
-            reference = counters
-            views_uniform = all(
-                len(c) == q ** (2 * x) and len(set(c.values())) == 1 for c in counters
-            )
-        elif counters != reference:
-            bad = next(i for i, (c, r) in enumerate(zip(counters, reference)) if c != r)
-            failure = (
-                f"view distribution of subset {subsets[bad]} differs between "
-                f"plaintexts {(a_data, b_data)} and {plaintexts[0]}"
-            )
-            break
+    # The sides' masks are independent, so a pair's joint view histogram is the
+    # product of its sides' histograms: two pairs' views agree iff both sides'
+    # views do, and a joint view is uniform iff both sides' views are. The first
+    # pair, in (A, B) order, whose views differ from (a0, b0)'s is therefore
+    # (a0, the first B plaintext whose views differ), else (the first such A
+    # plaintext, b0).
+    a0, b0 = (0,) * m, (0,) * n
+    ref_a, ref_b = views(a0, a_eval), views(b0, b_eval)
+    views_uniform = all(len(c) == q ** x and len(set(c.values())) == 1 for c in ref_a + ref_b)
+    pairs = chain((((a0, b), views(b, b_eval), ref_b) for b in product(range(q), repeat=n)),
+                  (((a, b0), views(a, a_eval), ref_a) for a in product(range(q), repeat=m)))
+    pair, subset = next(((pair, sub) for pair, hists, ref in pairs
+                         for sub, c, r in zip(subsets, hists, ref) if c != r), (None, None))
+    failure = None if pair is None else (
+        f"view distribution of subset {subset} differs between plaintexts {pair} and {(a0, b0)}")
 
     return SecrecyAuditReport(
         m=m, n=n, x=x, q=q,
@@ -252,7 +239,7 @@ def empirical_secrecy_audit(
         # both sides share the x mask functions 1, x, ..., x^(x-1)
         mask_generator=a_eval[:x].tolist(),
         subsets=subsets,
-        plaintext_count=len(plaintexts),
+        plaintext_count=q ** (m + n),
         randomness_count=q ** (2 * x),
         views_uniform=views_uniform,
         passed=failure is None,

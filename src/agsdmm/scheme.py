@@ -46,7 +46,12 @@ EVALUATION_BYTES_CAP = 2**30
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """User-facing parameters: partition counts m, n; collusion tolerance x."""
+    """User-facing parameters: partition counts m, n; collusion tolerance x.
+
+    seed is a label that nothing reads: the build is deterministic and the
+    masks come from each run. It stays, as the descriptor's seed field and as
+    build --seed, so recorded descriptors and callers are unchanged.
+    """
 
     m: int
     n: int

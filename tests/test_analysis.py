@@ -31,8 +31,14 @@ from agsdmm.analysis import (
     SWEEP_POINT_CAP,
     SweepPoint,
     SweepSummary,
-    sweep_point,
 )
+
+
+def _one_point(m, n, x):
+    """The counts at one point: compare_sweep over a one-point grid."""
+    [point], _ = compare_sweep([m], [n], [x])
+    return point
+
 
 # the reference exponent table: 18 distinct entries
 REFERENCE_TABLE = [
@@ -167,7 +173,7 @@ def test_degree_table_rejects_bad_sequences():
 
 
 def test_sweep_point_both_odd_unsupported():
-    point = sweep_point(3, 3, 2)
+    point = _one_point(3, 3, 2)
     assert not point.ag_supported and point.ag is None and point.ag_bound is None
     assert point.a3s == 19 and point.gasp_big == 21
     assert point.best == "a3s"
@@ -175,12 +181,13 @@ def test_sweep_point_both_odd_unsupported():
 
 
 def test_sweep_point_4_3_2():
-    point = sweep_point(4, 3, 2)
+    point = _one_point(4, 3, 2)
     assert point.ag == 24
     assert point.a3s == 23
     assert point.gasp_big == 27
     assert point.best == "a3s"
-    assert point.rate("ag") == Fraction(12, 24) == Fraction(1, 2)
+    row = dict(zip(SWEEP_CSV_FIELDS, format_sweep_csv([point]).splitlines()[1].split(",")))
+    assert row["ag_rate"] == str(Fraction(12, 24)) == "1/2"
 
 
 @pytest.mark.parametrize("m", [4, 8, 14])
@@ -207,9 +214,21 @@ def test_compare_sweep_summary():
     assert summary.total == len(points) == 5 * 4 * 3
     assert summary.ag_supported == sum(p.ag_supported for p in points)
     assert summary.ag_wins == sum(p.ag_wins for p in points)
-    assert summary.win_fraction == Fraction(summary.ag_wins, summary.total)
     assert any("bound-based analog" in line for line in summary.lines())
     assert [(p.m, p.n, p.x) for p in points] == sorted((p.m, p.n, p.x) for p in points)
+    _, empty = compare_sweep([], [1], [1])
+    assert empty.lines()[1] == "ag strictly below both baselines at 0 points (0 = 0.0%)"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), total=st.integers(0, 10**7))
+def test_summary_share_is_str_and_float_of_its_fraction(data, total):
+    # lowest terms through gcd and the percentage from int true division, as
+    # str and float of the Fraction render them; the empty sweep's share is 0
+    wins = data.draw(st.integers(0, total))
+    share = Fraction(wins, total or 1)
+    assert SweepSummary(total, total, wins).lines()[1] == (
+        f"ag strictly below both baselines at {wins} points ({share} = {float(share) * 100:.1f}%)")
 
 
 def test_sweep_bound_property():
@@ -237,7 +256,7 @@ def test_sweep_csv_rejects_foreign_header():
 
 
 def test_rate_row_decimal_rendering():
-    point = sweep_point(2, 2, 1)
+    point = _one_point(2, 2, 1)
     row = format_sweep_csv([point]).splitlines()[1].split(",")
     assert row[5] == "1/2" and row[6] == "0.5000"
 
@@ -254,9 +273,9 @@ def test_sweep_csv_digest_is_pinned():
 )
 def test_sweep_csv_rejects_cells_that_disagree_with_counts(field, value):
     # (2, 2, 1): ag 8, a3s 8, gasp_big 9 workers, so best is ag
-    text = format_sweep_csv([sweep_point(2, 2, 1)])
+    text = format_sweep_csv([_one_point(2, 2, 1)])
     header, row = (line.split(",") for line in text.splitlines())
-    assert parse_sweep_csv(text) == [sweep_point(2, 2, 1)]
+    assert parse_sweep_csv(text) == [_one_point(2, 2, 1)]
     assert row[header.index(field)] != value
     row[header.index(field)] = value
     with pytest.raises(ValueError, match=field):
@@ -274,14 +293,14 @@ def test_sweep_csv_rejects_cells_that_disagree_with_counts(field, value):
     ids=["trailing-blank-line", "extra-cell", "non-integer-count"],
 )
 def test_sweep_csv_refusals_name_their_line(edit, message):
-    text = format_sweep_csv([sweep_point(2, 2, 1)])
+    text = format_sweep_csv([_one_point(2, 2, 1)])
     assert edit(text) != text
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_sweep_csv(edit(text))
 
 
 def test_sweep_csv_rejects_non_positive_counts():
-    text = format_sweep_csv([sweep_point(2, 2, 1)])
+    text = format_sweep_csv([_one_point(2, 2, 1)])
     zeroed = text.replace(",8,1/2,0.5000,9,", ",0,1/2,0.5000,9,")
     assert zeroed != text
     with pytest.raises(ValueError, match="positive"):
@@ -454,7 +473,7 @@ def _check_against_the_per_point_oracle(m_values, n_values, x_values):
     assert summary == SweepSummary(len(expected), sum(p.ag is not None for p in expected),
                                    sum(p.ag_wins for p in expected))
     assert all(type(v) is int for v in (summary.total, summary.ag_supported, summary.ag_wins))
-    assert [sweep_point(*p[:3]) for p in expected] == expected
+    assert [_one_point(*p[:3]) for p in expected] == expected
     text = format_sweep_csv(points)
     assert parse_sweep_csv(text) == points and format_sweep_csv(parse_sweep_csv(text)) == text
     return points
@@ -489,7 +508,7 @@ def test_compare_sweep_checks_each_given_value_before_dropping_repeats():
 
 def test_compare_sweep_points_hold_ints_for_bools():
     points, _ = compare_sweep([2], [True, 1], [1, True, 2])
-    assert points == [sweep_point(2, 1, 1), sweep_point(2, 1, 2)]
+    assert points == [_one_point(2, 1, 1), _one_point(2, 1, 2)]
     assert all(type(v) is int for p in points for v in (p.m, p.n, p.x))
     text = format_sweep_csv(points)
     assert text.splitlines()[1].startswith("2,1,1,")
@@ -498,6 +517,6 @@ def test_compare_sweep_points_hold_ints_for_bools():
 
 def test_compare_sweep_points_hold_ints_for_numpy_integers():
     points, summary = compare_sweep([np.int64(2)], [np.uint8(3)], np.arange(1, 3))
-    assert points == [sweep_point(2, 3, 1), sweep_point(2, 3, 2)]
+    assert points == [_one_point(2, 3, 1), _one_point(2, 3, 2)]
     assert all(type(v) is int for p in points for v in p)
     assert parse_sweep_csv(format_sweep_csv(points)) == points

@@ -19,6 +19,7 @@ import agsdmm
 from agsdmm import (
     SchemeParams,
     build_scheme,
+    load_scheme,
     parse_sweep_csv,
     read_matrix_csv,
     run_protocol,
@@ -80,6 +81,14 @@ def _run_python(*args, preexec_fn=None):
 def _run_module(*args, preexec_fn=None):
     return _run_python("-m", "agsdmm", *args, preexec_fn=preexec_fn)
 
+
+
+def test_import_leaves_fractions_and_decimal_unloaded():
+    # the sweep renders its rates and share through gcd, so importing the
+    # package loads neither module
+    out = _run_python("-c", "import sys, agsdmm; "
+                            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    assert out.returncode == 0 and out.stdout == "[]\n"
 
 def test_module_entry_point():
     out = _run_module("params", "--m", "2", "--n", "2", "--x", "1")
@@ -350,6 +359,27 @@ def test_audit_of_a_descriptor_exits_2_on_a_failed_certificate(tmp_path, monkeyp
     assert capsys.readouterr().out.splitlines()[-1] == (
         "mask generator MDS check (every 1x1 submatrix invertible): FAIL")
 
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_audit_of_a_descriptor_checks_each_sides_encoder_mask_rows(tmp_path, monkeypatch, capsys,
+                                                                   side):
+    # the loaded scheme's own rows are held to x^k, k < X: one coefficient of
+    # one side's last mask row moved off it fails the certificate line
+    path = tmp_path / "scheme.json"
+    assert main(["build", "--m", "4", "--n", "3", "--x", "2", "--seed", "11",
+                 "--out", str(path)]) == 0
+
+    def load_with_a_moved_mask_row(scheme_path):
+        inst = load_scheme(scheme_path)
+        rows = inst._sides[side][0]
+        rows[inst.poles.x - 1, 0] = (rows[inst.poles.x - 1, 0] + 1) % inst.q
+        return inst
+
+    monkeypatch.setattr("agsdmm.cli.load_scheme", load_with_a_moved_mask_row)
+    capsys.readouterr()
+    assert main(["audit", "--scheme", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "mask generator MDS check (every 2x2 submatrix invertible): FAIL")
 
 @pytest.mark.parametrize("text", [None, "not json", "[]", '{"m": 2, "n": 2, "X": 1}',
                                   '{"m": 3, "n": 3, "X": 1, "q": 17}'])

@@ -30,6 +30,13 @@ def test_bad_field_orders_rejected(q):
         check_odd_prime(q)
 
 
+
+def test_is_prime_outside_its_range():
+    # below 2 nothing is prime; from the cap on the trial division is refused
+    assert is_prime(1) is False and is_prime(0) is False
+    with pytest.raises(ValueError, match=r"^field order 2147483648 exceeds supported cap 2147483648$"):
+        is_prime(2**31)
+
 def test_is_square_examples():
     assert _is_square(2, 7) is True  # 3^2 = 2 mod 7
     assert _is_square(6, 7) is False

@@ -1,6 +1,7 @@
 import functools
 import json
 import re
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+
+from conftest import joint_view_audit
 
 from agsdmm import (
     SchemeParams,
@@ -111,6 +114,13 @@ def test_inner_dimension_mismatch(inst221):
     with pytest.raises(ValueError, match="inner dimensions"):
         run_protocol(np.zeros((2, 3), dtype=int), np.zeros((2, 2), dtype=int), inst221)
 
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [((4,), (2, 2)), ((4, 2), (2,))])
+def test_run_protocol_refuses_a_matrix_that_is_not_2d(inst221, a_shape, b_shape):
+    message = f"expected 2-D matrices, got shapes {a_shape} and {b_shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_protocol(np.zeros(a_shape, dtype=int), np.zeros(b_shape, dtype=int), inst221)
 
 def test_transcript_shapes():
     _check_transcript_shapes(2, 2, 1)
@@ -228,7 +238,7 @@ def test_decoding_is_order_insensitive(inst221):
     a = rng.integers(0, inst221.q, size=(4, 2))
     b = rng.integers(0, inst221.q, size=(2, 4))
     result, transcript = run_protocol(a, b, inst221, rng)
-    pairs = transcript.responses()
+    pairs = [(rec.index, rec.response) for rec in transcript.records]
     shuffled = [pairs[i] for i in np.random.default_rng(3).permutation(len(pairs))]
     assert np.array_equal(decode_response_pairs(shuffled, inst221), result)
 
@@ -238,7 +248,7 @@ def test_decode_response_pairs_validation(inst221):
     a = rng.integers(0, inst221.q, size=(2, 2))
     b = rng.integers(0, inst221.q, size=(2, 2))
     _, transcript = run_protocol(a, b, inst221, rng)
-    pairs = transcript.responses()
+    pairs = [(rec.index, rec.response) for rec in transcript.records]
     with pytest.raises(ValueError, match="duplicate"):
         decode_response_pairs(pairs + [pairs[0]], inst221)
     with pytest.raises(ValueError, match="exactly one response"):
@@ -254,7 +264,7 @@ def test_decode_reduces_unreduced_and_negative_responses(m, n, x):
     _, transcript = run_protocol(a, b, inst, rng)
     shifts = rng.integers(-3, 4, size=inst.n_workers)
     shifts[0] = -3  # at least one response with every entry negative
-    pairs = [(i, resp + k * inst.q) for (i, resp), k in zip(transcript.responses(), shifts)]
+    pairs = [(rec.index, rec.response + k * inst.q) for rec, k in zip(transcript.records, shifts)]
     assert (pairs[0][1] < 0).all()
     assert np.array_equal(decode_response_pairs(pairs, inst), a @ b % inst.q)
 
@@ -385,6 +395,69 @@ def test_secrecy_audit_parameter_guards(monkeypatch):
     with pytest.raises(ValueError, match="state space 15625 exceeds the cap 100"):
         empirical_secrecy_audit(2, 2, 1, 5)
 
+
+
+# every (m, n, x, q) with q in {3, 5, 7}, m, n <= 4 and x <= 2 that the audit accepts
+_AUDITED = [(1, 2, 2, 5), (1, 4, 2, 5), (2, 1, 2, 5), (2, 2, 1, 5), (4, 1, 2, 5),
+            (1, 2, 2, 7), (2, 1, 2, 7), (2, 2, 1, 7)]
+
+
+def test_the_audit_accepts_eight_points_of_its_range():
+    accepted = []
+    for q, m, n, x in product((3, 5, 7), range(1, 5), range(1, 5), (1, 2)):
+        try:
+            empirical_secrecy_audit(m, n, x, q)
+        except ValueError:
+            continue
+        accepted.append((m, n, x, q))
+    assert accepted == _AUDITED
+
+
+def _audit(monkeypatch, m, n, x, q, broken=""):
+    """The audit with the sides named in broken broken, and the coefficient matrices it used.
+
+    A broken side's last worker gets the unit column of the last data block,
+    so it sees that block unmasked.
+    """
+    real, evals = protocol.evaluation_matrix, []
+
+    def evaluation_matrix(*args):
+        e = real(*args).copy()
+        if "AB"[len(evals)] in broken:
+            e[:, -1] = 0
+            e[-1, -1] = 1
+        evals.append(e)
+        return e
+
+    monkeypatch.setattr(protocol, "evaluation_matrix", evaluation_matrix)
+    return empirical_secrecy_audit(m, n, x, q), evals
+
+
+@pytest.mark.parametrize("broken", ["", "A", "B", "AB"])
+@pytest.mark.parametrize("m,n,x,q", _AUDITED)
+def test_secrecy_audit_matches_the_joint_view_oracle(monkeypatch, m, n, x, q, broken):
+    report, (a_eval, b_eval) = _audit(monkeypatch, m, n, x, q, broken)
+    assert (report.views_uniform, report.failure) == joint_view_audit(a_eval, b_eval, x, q)
+    assert report.passed == (not broken)
+
+
+@pytest.mark.parametrize("m,n,x,broken,pair,subset", [
+    (2, 2, 1, "A", "((0, 1), (0, 0)) and ((0, 0), (0, 0))", (4,)),
+    (2, 2, 1, "B", "((0, 0), (0, 1)) and ((0, 0), (0, 0))", (4,)),
+    (2, 1, 2, "A", "((0, 1), (0,)) and ((0, 0), (0,))", (0, 4)),
+    (2, 1, 2, "B", "((0, 0), (1,)) and ((0, 0), (0,))", (0, 4)),
+    (2, 2, 1, "AB", "((0, 0), (0, 1)) and ((0, 0), (0, 0))", (4,)),
+    (2, 1, 2, "AB", "((0, 0), (1,)) and ((0, 0), (0,))", (0, 4)),
+])
+def test_secrecy_audit_names_the_first_differing_pair_and_subset(monkeypatch, m, n, x, broken,
+                                                                 pair, subset):
+    # a broken B side fails at (a0, b), also when A is broken too, and a
+    # broken A side alone at (a, b0)
+    report, _ = _audit(monkeypatch, m, n, x, 5, broken)
+    failure = f"view distribution of subset {subset} differs between plaintexts {pair}"
+    assert not report.passed and not report.views_uniform
+    assert report.failure == failure
+    assert report.summary_lines()[0] == f"secrecy audit for m={m} n={n} x={x} q=5: FAIL ({failure})"
 
 def test_readme_quickstart_runs():
     # the README's one python block is the documented public API; run it as written

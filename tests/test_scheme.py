@@ -809,6 +809,8 @@ def test_encode_decode_and_csv_refuse_input_int64_cannot_hold(inst221, tmp_path)
         write_matrix_csv(path, np.full((2, 2), 1.7), 7)
     with pytest.raises(ValueError, match=message.format("object")):
         write_matrix_csv(path, [[2**64]], 7)
+    with pytest.raises(ValueError, match=r"^expected a 2-D matrix, got shape \(3,\)$"):
+        write_matrix_csv(path, np.arange(3), 7)
     assert not path.exists()
 
 
