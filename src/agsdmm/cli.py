@@ -1,6 +1,7 @@
 """Command-line surface: parameter reports, scheme building, protocol runs, audits, sweeps.
 
-Exit codes: 0 success, 1 invalid parameters or I/O trouble, 2 verification failure.
+Exit codes: 0 success, 1 invalid parameters, I/O trouble, too little memory or a broken
+internal invariant (one error line each, no traceback), 2 verification failure.
 """
 
 from __future__ import annotations
@@ -183,8 +184,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INVALID
 
 

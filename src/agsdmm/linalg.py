@@ -7,26 +7,28 @@ run in the narrowest dtype that is still exact for their inner length and q:
 float32 or float64 (BLAS), or int64, in 16-bit limbs of b past 2^63. Their
 results are reduced as int32 where every sum lies below 2^31 and the result
 has at least FLOOR_REDUCE_MIN entries, and as int64 otherwise; the output is
-int64 either way. Those reductions, and the elimination's and the solves'
-block updates, run in place as x - q (x // q) from FLOOR_REDUCE_MIN entries
-on, since numpy divides by a scalar through libdivide and np.remainder does
-not; smaller arrays keep np.remainder. A product whose b and result fit one
-chunk of CHUNK_BYTES, as every worker product of a run does, takes no chunk
-or limb bookkeeping: one cast per operand, one product, one cast and one
-reduction. Inside a panel of the elimination
-the reduction is delayed: a panel's trailing block is reduced once every k
-pivots, k the largest number of products of two residues that int64 can
-take on top of a residue, at most PANEL_WIDTH (2 at q = 2^31 - 1). Every
-triangular solve, the elimination's and both of an LU's, is one blocked
-lower solve; U is solved with its rows and columns reversed, L on the
-elimination's panels with the diagonal-block inverses the elimination made.
-Rows of the inverse of a Vandermonde matrix have a closed form and take no
-elimination (_inverse_vandermonde). Operands are reduced only where an entry
-lies outside [0, q). The modulus is checked once, at the public entries, to
-be an integer in [2, 2^31); input enters through one int64 intake that
-refuses float, complex and out-of-int64 input from its dtype alone. A native
-int64 ndarray, as every share and response is, passes the intake as it is,
-and its range check is one argmax over its uint64 view.
+int64, or int32 for encode's shares. Those reductions, and the elimination's
+and the solves' block updates, run in place as x - q (x // q) from
+FLOOR_REDUCE_MIN entries on, since numpy divides by a scalar through
+libdivide and np.remainder does not; smaller arrays keep np.remainder. A
+product whose b and result fit one chunk of CHUNK_BYTES, as every worker
+product of a run does, takes no chunk or limb bookkeeping: one cast per
+operand, one product, one cast and one reduction. Inside a panel of the
+elimination the reduction is delayed: a panel's trailing block is reduced
+once every k pivots, k the largest number of products of two residues that
+int64 can take on top of a residue, at most PANEL_WIDTH (2 at q = 2^31 - 1).
+Every triangular solve, the elimination's and both of an LU's, is one
+blocked lower solve; U is solved with its rows and columns reversed, L on
+the elimination's panels with the diagonal-block inverses the elimination
+made. Rows of the inverse of a Vandermonde matrix have a closed form and
+take no elimination (_inverse_vandermonde). Operands are reduced only where
+an entry lies outside [0, q). The modulus is checked once, at the public
+entries, to be an integer in [2, 2^31); input enters through one int64
+intake that refuses float, complex and out-of-int64 input from its dtype
+alone. A native int32 or int64 ndarray, as every share (int32) and response
+(int64) is, passes the intake as it is, and its range check is one argmax
+over its unsigned view. The elimination takes int64, where its updates
+cannot overflow.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ CHUNK_BYTES = 2**20
 # is reduced as int32 where that is exact: below it the extra cast costs more
 # than the narrower division saves
 FLOOR_REDUCE_MIN = 2048
+# the dtypes _reduced takes as they are, and their unsigned views
+_UNSIGNED = {np.dtype(np.int32): np.uint32, np.dtype(np.int64): np.uint64}
 
 
 class SingularMatrixError(ValueError):
@@ -76,7 +80,7 @@ def as_matrix(rows, q: int) -> np.ndarray:
     """
     q = _check_modulus(q)
     given = np.asarray(rows)
-    m = _reduced(given, q)
+    m = _reduced(given, q).astype(np.int64, copy=False)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     return m.copy() if m is given else m
@@ -116,15 +120,16 @@ def _as_int64(m) -> np.ndarray:
 
 
 def _reduced(m, q: int) -> np.ndarray:
-    # m as int64 in [0, q); the remainder pass runs only when a check finds an
-    # entry outside, as it does not for shares fresh from encode. Read as
-    # unsigned, a negative entry is at least 2^63, so one largest entry covers
-    # both ends; argmax finds it in a third of the time of a max reduction on
-    # a small operand. A native int64 ndarray, as every share and response
-    # is, is taken as it is, without _as_int64's conversion and dtype tests.
-    if type(m) is not np.ndarray or m.dtype != np.int64:
-        m = _as_int64(m)
-    unsigned = m.view(np.uint64)
+    # m in [0, q), as int32 for a native int32 ndarray (a share), else as int64;
+    # the remainder pass runs only when a check finds an entry outside, as it
+    # does not for shares fresh from encode. Read as unsigned, a negative entry
+    # is at least 2^31 > q, so one largest entry covers both ends; argmax finds
+    # it in a third of the time of a max reduction on a small operand. A native
+    # int32 or int64 ndarray skips _as_int64's conversion and dtype tests.
+    unsigned = _UNSIGNED.get(m.dtype) if type(m) is np.ndarray else None
+    if unsigned is None:
+        m, unsigned = _as_int64(m), np.uint64
+    unsigned = m.view(unsigned)
     if m.size and unsigned.item(unsigned.argmax()) >= q:
         m = m % q
     return m
@@ -174,15 +179,16 @@ def _limb_matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _matmul_reduced(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Exact (a @ b) mod q as int64, for integer operands already reduced into [0, q).
+def _matmul_reduced(a: np.ndarray, b: np.ndarray, q: int, out_dtype=np.int64) -> np.ndarray:
+    """Exact (a @ b) mod q as int64, or as out_dtype, for integer operands reduced into [0, q).
 
     The product runs in the dtype _tiers picks: float32 or float64 BLAS, or
     int64, in limbs where its sums could pass 2^63. b's columns are taken
-    CHUNK_BYTES at a time (half that in limbs, with twice the temporaries),
+    CHUNK_BYTES at a time (half that where there are twice the temporaries),
     so the reduction's temporary and any float copy stay within one chunk.
-    An int64 reduction runs in the result's own chunk; an int32 one in an
-    int32 copy of the chunk, which is then stored into the result.
+    A reduction in the result's dtype runs in the result's own chunk, so no
+    second chunk is held; any other in a chunk of its own dtype, which is
+    then stored into the result.
     """
     rows, inner, cols = a.shape[0], a.shape[-1], b.shape[-1]
     dtype, reduce = _tiers(inner, q, rows * cols)
@@ -195,21 +201,24 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
         # to the reduction's dtype and one reduction, with no chunk bookkeeping
         out = (a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)).astype(reduce, copy=False)
         _reduce_in_place(out, q)
-        return out.astype(np.int64, copy=False)
+        return out.astype(out_dtype, copy=False)
     a = a.astype(dtype, copy=False)
-    step = max(1, CHUNK_BYTES // ((16 if limbs else 8) * max(rows, inner, 1)))
-    out = np.empty((rows, cols), dtype=np.int64)
+    # limbs, and an int64 reduction stored into an int32 result, hold two temporaries per entry
+    doubled = limbs or (reduce is np.int64 and out_dtype is not np.int64)
+    step = max(1, CHUNK_BYTES // ((16 if doubled else 8) * max(rows, inner, 1)))
+    out = np.empty((rows, cols), dtype=out_dtype)
     for c0 in range(0, cols, step):
         chunk, bc = out[:, c0:c0 + step], b[:, c0:c0 + step]
-        if reduce is np.int64:
-            # reduced in the result's own view, so no second int64 chunk is held
-            chunk[:] = _limb_matmul(a, bc, q) if limbs else a @ bc.astype(dtype, copy=False)
-            _reduce_in_place(chunk, q)
-            continue
-        part = (a @ bc.astype(dtype, copy=False)).astype(np.int32)
+        part = _limb_matmul(a, bc, q) if limbs else a @ bc.astype(dtype, copy=False)
+        if out.dtype == reduce:
+            chunk[:] = part
+            part = chunk  # the product is freed before the reduction takes its temporary
+        else:
+            part = part.astype(reduce, copy=False)
         _reduce_in_place(part, q)
-        chunk[:] = part
-        # nor is an int32 chunk while the next chunk's product is computed
+        if part is not chunk:
+            chunk[:] = part
+        # no reduction chunk is held while the next chunk's product is computed
         del part
     return out
 

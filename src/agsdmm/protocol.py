@@ -26,7 +26,7 @@ AUDIT_STATE_CAP = 2_000_000
 
 @dataclass
 class WorkerRecord:
-    """Everything one worker saw and returned."""
+    """Everything one worker saw and returned: int32 shares and an int64 response (their product)."""
 
     index: int
     place: tuple[int, int]

@@ -300,7 +300,7 @@ def smallest_admissible_field(d: int, required_places: int) -> int:
 
 @dataclass
 class EncodedShares:
-    """One masked share per worker for one input side."""
+    """One masked share per worker for one input side, each an int32 array of residues mod q."""
 
     side: str
     shares: list[np.ndarray]
@@ -428,7 +428,7 @@ class SchemeInstance:
                  for _ in range(self.poles.x)]
         # share_i = sum_t coeff[t, i] * stacked[t], one product mod q
         stacked = np.stack(masks + blocks)
-        flat = linalg._matmul_reduced(coeff.T, stacked.reshape(len(stacked), -1), q)
+        flat = linalg._matmul_reduced(coeff.T, stacked.reshape(len(stacked), -1), q, np.int32)
         shares = flat.reshape((self.n_workers,) + stacked.shape[1:])
         return EncodedShares(side, list(shares))
 

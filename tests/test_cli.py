@@ -466,6 +466,43 @@ def test_huge_parameters_are_refused_before_allocating(tmp_path, args, message):
     assert not (tmp_path / "s.json").exists()
 
 
+def _break_derive_parameters(monkeypatch):
+    monkeypatch.setattr(agsdmm.scheme, "worker_count", lambda m, n, x: -1)
+
+
+def _exhaust_field_search(monkeypatch):
+    monkeypatch.setattr(agsdmm.scheme, "scan_run_x", lambda q, d, limit: [])
+
+
+def _run_out_of_memory(monkeypatch):
+    def evaluation_matrix(*args):
+        raise MemoryError
+    monkeypatch.setattr(agsdmm.scheme, "evaluation_matrix", evaluation_matrix)
+
+
+@pytest.mark.parametrize("command", ["params", "build"])
+@pytest.mark.parametrize("fault,message", [
+    (_break_derive_parameters,
+     "pole structure for m=2, n=2, x=1 breaks: worker count equals its closed form"),
+    (_exhaust_field_search, "no admissible field found below 2049 for d=3"),
+    (_run_out_of_memory, "MemoryError"),
+])
+def test_internal_faults_give_one_error_line(tmp_path, monkeypatch, capsys, command, fault,
+                                             message):
+    # a broken invariant, the field search's cap and a MemoryError below the
+    # caps: exit 1 with one error line, no traceback; params neither searches
+    # a field nor evaluates, so only the first reaches it
+    fault(monkeypatch)
+    argv = [command, "--m", "2", "--n", "2", "--x", "1"]
+    if command == "build":
+        argv += ["--out", str(tmp_path / "s.json")]
+    reaches = command == "build" or fault is _break_derive_parameters
+    assert main(argv) == (1 if reaches else 0)
+    err = capsys.readouterr().err
+    assert err == (f"error: {message}\n" if reaches else "")
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_a_huge_descriptor_is_refused_before_allocating(tmp_path):
     # load_scheme rebuilds what a descriptor names, through the same caps
     path = tmp_path / "s.json"

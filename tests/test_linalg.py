@@ -250,6 +250,41 @@ def test_as_matrix_copies_reduced_input_without_a_remainder():
     assert linalg.as_matrix(rows - 13, 13).tolist() == rows.tolist()
 
 
+def test_reduced_takes_a_reduced_int32_array_as_it_is():
+    # every share is a native int32 array in [0, q): no cast, no copy
+    share = np.arange(12, dtype=np.int32).reshape(3, 4)
+    assert linalg._reduced(share, 13) is share
+    assert linalg._reduced(share[:, 1:], 13).dtype == np.int32
+
+
+@pytest.mark.parametrize("q", [13, 2**31 - 1])
+def test_reduced_reduces_int32_entries_outside_the_field(q):
+    # a negative int32 entry reads as at least 2^31 > q when viewed unsigned
+    for edge in (-1, -q, -2**31, q, 2**31 - 1):
+        m = np.array([[0, 1], [2, edge]], dtype=np.int32)
+        got = linalg._reduced(m, q)
+        assert got.dtype == np.int32 and got.tolist() == [[0, 1], [2, edge % q]]
+        assert m[1, 1] == edge  # the caller's array is left as it was
+
+
+def test_int32_input_eliminates_exactly_as_int64():
+    # at q = 2^31 - 1 a single update (q - 1)^2 overflows int32, so the
+    # elimination must widen int32 input to int64 first
+    q = 2**31 - 1
+    rng = np.random.default_rng(8)
+    rows = np.full((6, 9), q - 1, dtype=np.int32)
+    rows[1:] -= rng.integers(0, 3, size=(5, 9), dtype=np.int32)
+    assert linalg.as_matrix(rows, q).dtype == np.int64
+    cols, perm, lu = _echelon(rows, q)
+    expect_cols, expect_perm, expect_lu = _reference_echelon(rows, q)
+    assert (cols, perm) == (expect_cols, expect_perm) and np.array_equal(lu, expect_lu)
+    assert rank(rows, q) == len(cols) == 6
+    square = rows[:, cols]
+    inv = LUFactorization(square, q).inverse_columns(range(6))
+    assert inv.dtype == np.int64
+    assert np.array_equal(_exact(square) @ _exact(inv) % q, np.eye(6, dtype=np.int64))
+
+
 def test_singular_matrix_error_names_rank():
     with pytest.raises(SingularMatrixError) as err:
         LUFactorization([[1, 2], [2, 4]], 5)
@@ -615,6 +650,23 @@ def test_matmul_reduced_in_column_chunks(q, rows, inner, cols, chunk_bytes, monk
     assert np.array_equal(got, (a.astype(object) @ b.astype(object)) % q)
 
 
+@pytest.mark.parametrize("q", TIER_PRIMES)
+@pytest.mark.parametrize("chunk_bytes", [None, 96])
+def test_matmul_reduced_stores_an_int32_result_in_every_tier(q, chunk_bytes, monkeypatch):
+    # encode's int32 shares: a chunk reduced as int32 in the result itself,
+    # or as int64 (wide sums, the limbs at 2^31 - 1) and then stored, in one
+    # chunk or in ragged ones, and a result below FLOOR_REDUCE_MIN entries
+    if chunk_bytes is not None:
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(q)
+    for rows, inner, cols in ((4, 3, 10), (6, 3, 343), (2, 40, 7)):
+        a = rng.integers(q - 3, q, size=(rows, inner))
+        b = rng.integers(q - 3, q, size=(inner, cols))
+        got = linalg._matmul_reduced(a, b, q, np.int32)
+        assert got.dtype == np.int32 and got.shape == (rows, cols)
+        assert np.array_equal(got, (_exact(a) @ _exact(b)) % q)
+
+
 def test_matmul_reduced_never_copies_a_wide_operand_to_float64():
     # numpy reports its buffers to tracemalloc: past the int64 result, a wide
     # BLAS-tier product holds one column chunk of b and one of the result in
@@ -633,15 +685,18 @@ def test_matmul_reduced_never_copies_a_wide_operand_to_float64():
         a = rng.integers(0, q, size=(8, 4))
         b = rng.integers(0, q, size=(4, 200_000))
         assert linalg._tiers(4, q, a.shape[0] * b.shape[1]) == tier
-        tracemalloc.start()
-        try:
-            out = linalg._matmul_reduced(a, b, q)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < out.nbytes + 2 * linalg.CHUNK_BYTES
         # a @ b would wrap int64 at 2^31 - 1, the limb tier, so that one takes Python ints
-        assert np.array_equal(out, _exact(a) @ _exact(b) % q if q == 2**31 - 1 else a @ b % q)
+        expect = _exact(a) @ _exact(b) % q if q == 2**31 - 1 else a @ b % q
+        # the int64 result of matmul_mod, and encode's int32 shares
+        for out_dtype in (np.int64, np.int32):
+            tracemalloc.start()
+            try:
+                out = linalg._matmul_reduced(a, b, q, out_dtype)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < out.nbytes + 2 * linalg.CHUNK_BYTES
+            assert out.dtype == out_dtype and np.array_equal(out, expect)
 
 
 @st.composite

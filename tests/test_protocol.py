@@ -293,6 +293,47 @@ def test_run_protocol_matches_direct_product(params, rows, inner, cols, seed):
     assert np.array_equal(result, a @ b % inst.q)
 
 
+def test_run_protocol_at_the_largest_modulus():
+    # q = 2^31 - 1, entries q - 1 and an inner length of 300: every share
+    # still fits int32, each worker's product takes the int64 limb tier, and
+    # the responses and the product are int64
+    q = 2**31 - 1
+    inst = build_scheme(SchemeParams(2, 2, 1, q=q))
+    rng = np.random.default_rng(31)
+    a = np.full((4, 300), q - 1, dtype=np.int64)
+    b = rng.integers(q - 2, q, size=(300, 4))
+    result, transcript = run_protocol(a, b, inst, rng)
+    shares = [s for rec in transcript.records for s in (rec.a_share, rec.b_share)]
+    assert all(s.dtype == np.int32 for s in shares)
+    assert max(int(s.max()) for s in shares) <= q - 1
+    assert all(rec.response.dtype == np.int64 for rec in transcript.records)
+    assert result.dtype == np.int64
+    assert result.tolist() == (a.astype(object) @ b.astype(object) % q).tolist()
+
+
+@functools.cache
+def _scheme_at(params, q):
+    return build_scheme(SchemeParams(*params, q=q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=st.sampled_from(_SUPPORTED), q=st.sampled_from([None, 65521, 1000000007, 2**31 - 1]),
+       inner=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_shares_are_int32_and_the_product_exact_at_any_modulus(params, q, inner, seed):
+    # from the smallest admissible field to the largest modulus, in every
+    # product tier: int32 shares, int64 responses, the Python-int product
+    inst = _scheme_at(params, q)
+    m, n, _ = params
+    rng = np.random.default_rng(seed)
+    a = rng.integers(inst.q - 3, inst.q, size=(m, inner))
+    b = rng.integers(0, inst.q, size=(inner, 2 * n))
+    result, transcript = run_protocol(a, b, inst, rng)
+    for rec in transcript.records:
+        assert rec.a_share.dtype == rec.b_share.dtype == np.int32
+        assert rec.response.dtype == np.int64
+    assert result.tolist() == (a.astype(object) @ b.astype(object) % inst.q).tolist()
+
+
 def test_collude_view_contents(inst221):
     rng = np.random.default_rng(17)
     a = rng.integers(0, inst221.q, size=(2, 2))

@@ -883,6 +883,7 @@ def test_worker_products_make_one_checked_product_per_worker(m, n, x, shape, mon
     assert len(calls) == len(responses) == inst.n_workers
     for (a, b, q), share_a, share_b in zip(calls, enc_a.shares, enc_b.shares, strict=True):
         assert a is share_a and b is share_b and q == inst.q
+        assert a.dtype == b.dtype == np.int32
 
 
 def test_star_product_dimension(inst221, inst432):
