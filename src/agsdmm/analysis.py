@@ -17,6 +17,8 @@ int division m*n / N, as str and float of its Fraction would:
 
 compare_sweep counts a grid in numpy array passes through the closed forms of the
 per-point counts: in int64, or in Python ints where a count could pass 2^63.
+A sweep CSV row is one % template of those ints, and write_sweep_csv streams the
+rows to its file.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import io
 from dataclasses import dataclass
 import operator
 from math import gcd, prod
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -204,7 +205,14 @@ def compare_sweep(m_values, n_values, x_values) -> tuple[list[SweepPoint], Sweep
         # per axis, the first point holding one of its invalid values; the earliest of those
         at = min([0] * k + b[:1] + [0] * (2 - k) for k, b in enumerate(bad) if b)
         _check_positive(*(axis[i] for axis, i in zip(axes, at)))
-    axes = [sorted(set(map(operator.index, axis))) for axis in axes]
+    columns, supported, wins = _sweep_columns([sorted(set(map(operator.index, a))) for a in axes])
+    # _make skips the keyword handling of the generated __new__
+    points = list(map(SweepPoint._make, zip(*columns)))
+    return points, SweepSummary(len(points), supported, wins)
+
+
+def _sweep_columns(axes):
+    # the point fields as lists, and the supported and win counts; no array outlives the lists
     # every count and intermediate is below 4(m + x + 1)(n + x + 1) at the largest values
     m, n, x = (axis[-1] for axis in axes)
     dtype = np.int64 if 4 * (m + x + 1) * (n + x + 1) < 2**63 else object
@@ -213,11 +221,12 @@ def compare_sweep(m_values, n_values, x_values) -> tuple[list[SweepPoint], Sweep
     supported = (me % 2 == 0) & _degree(me, ne, x)[1]
     ag, a3s, gasp_big = _worker_count(me, ne, x), _a3s(m, n, x), _gasp_big(m, n, x)
     wins = supported & (ag < a3s) & (ag < gasp_big)
-    columns = (m, n, x, np.where(supported, ag, None),
-               np.where(supported, worker_bound(me, ne, x), None), a3s, gasp_big)
-    # _make skips the keyword handling of the generated __new__
-    points = list(map(SweepPoint._make, zip(*(c.ravel().tolist() for c in columns))))
-    return points, SweepSummary(len(points), *(int(np.count_nonzero(c)) for c in (supported, wins)))
+    bound, unsupported = worker_bound(me, ne, x), ~supported
+    ag[unsupported] = bound[unsupported] = 0  # cached, so .tolist() makes no int that None replaces
+    columns = [c.ravel().tolist() for c in (m, n, x, ag, bound, a3s, gasp_big)]
+    for i in np.flatnonzero(unsupported).tolist():
+        columns[3][i] = columns[4][i] = None
+    return columns, *(int(np.count_nonzero(c)) for c in (supported, wins))
 
 
 def _refused(check, *args) -> bool:
@@ -246,25 +255,45 @@ def _rate_cells(mn: int, workers: int) -> str:
     return f"{rate},{mn / workers:.4f}"
 
 
+_ROW = "%d,%d,%d,%d,%d,%d/%d,%.4f,%d,%d/%d,%.4f,%d,%d/%d,%.4f,%s\n"
+_UNSUPPORTED_ROW = f"%d,%d,%d,{UNSUPPORTED},,,,%d,%d/%d,%.4f,%d,%d/%d,%.4f,%s\n"
+
+
 def _sweep_csv_row(p: SweepPoint) -> str:
     m, n, x, ag, ag_bound, a3s, gasp_big = p
     mn = m * n
+    g, h = gcd(mn, a3s), gcd(mn, gasp_big)
+    if a3s != g and gasp_big != h:  # neither rate is whole, which would read 3, not 3/1
+        if ag is None:
+            return _UNSUPPORTED_ROW % (m, n, x, a3s, mn // g, a3s // g, mn / a3s, gasp_big,
+                                       mn // h, gasp_big // h, mn / gasp_big, p.best)
+        k = gcd(mn, ag)
+        if ag != k:
+            return _ROW % (m, n, x, ag, ag_bound, mn // k, ag // k, mn / ag, a3s, mn // g,
+                           a3s // g, mn / a3s, gasp_big, mn // h, gasp_big // h,
+                           mn / gasp_big, p.best)
     ag_cells = f"{UNSUPPORTED},,," if ag is None else f"{ag},{ag_bound},{_rate_cells(mn, ag)}"
     return (f"{m},{n},{x},{ag_cells},{a3s},{_rate_cells(mn, a3s)},"
             f"{gasp_big},{_rate_cells(mn, gasp_big)},{p.best}\n")
 
 
+def _write_sweep_rows(f, points) -> None:
+    # no cell holds a comma, quote or newline, so this is the text csv.writer writes
+    f.write(",".join(SWEEP_CSV_FIELDS) + "\n")
+    f.writelines(map(_sweep_csv_row, points))
+
+
 def format_sweep_csv(points) -> str:
-    # no cell holds a comma, quote or newline, so this is the text csv.writer writes;
     # StringIO holds less at the cap than a list of rows joined
     buf = io.StringIO()
-    buf.write(",".join(SWEEP_CSV_FIELDS) + "\n")
-    buf.writelines(map(_sweep_csv_row, points))
+    _write_sweep_rows(buf, points)
     return buf.getvalue()
 
 
 def write_sweep_csv(points, path) -> None:
-    Path(path).write_text(format_sweep_csv(points))
+    """Stream the rows of format_sweep_csv(points) to path, never holding the whole text."""
+    with open(path, "w") as f:
+        _write_sweep_rows(f, points)
 
 
 def parse_sweep_csv(text: str) -> list[SweepPoint]:

@@ -366,6 +366,50 @@ def test_point_rows_match_the_fraction_renderer(m, n, x, counts, ag_supported):
     assert format_sweep_csv([point]) == _reference_sweep_csv([point])
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    mn=st.lists(st.integers(1, 2**100), min_size=2, max_size=2), x=st.integers(1, 2**70),
+    counts=st.lists(st.one_of(st.integers(1, 60), st.integers(2**63 - 4, 2**130)),
+                    min_size=4, max_size=4),
+    ag_supported=st.booleans(),
+)
+@example(mn=[2**62, 6], x=1, counts=[3 * 2**62, 2**64, 2**63, 2**65 + 1], ag_supported=True)
+def test_point_rows_past_int64_match_the_fraction_renderer(mn, x, counts, ag_supported):
+    # Python ints of any size: %d and true division render as str and float of the Fraction
+    ag, ag_bound, a3s, gasp_big = counts
+    point = SweepPoint(*mn, x, ag if ag_supported else None, ag_bound if ag_supported else None,
+                       a3s, gasp_big)
+    assert format_sweep_csv([point]) == _reference_sweep_csv([point])
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("workers,rate", [(12, "1"), (4, "3")])
+def test_whole_rates_read_as_integers(scheme, workers, rate):
+    # (4, 3, 1), mn = 12: one scheme's N is mn or divides it, the others' are not whole rates;
+    # with ag whole or unsupported, a whole a3s or gasp_big rate takes the same path
+    counts = {"ag": 7, "ag_bound": 13, "a3s": 5, "gasp_big": 8, scheme: workers}
+    rows = [SweepPoint(4, 3, 1, **counts)]
+    if scheme != "ag":
+        rows.append(rows[0]._replace(ag=None, ag_bound=None))
+    text = format_sweep_csv(rows)
+    assert text == _reference_sweep_csv(rows)
+    for line in text.splitlines()[1:]:
+        assert dict(zip(SWEEP_CSV_FIELDS, line.split(",")))[f"{scheme}_rate"] == rate
+    assert format_sweep_csv(parse_sweep_csv(text)) == text
+
+
+def test_write_sweep_csv_writes_the_formatted_text(tmp_path):
+    # both templates and the whole-rate path, streamed row by row
+    points, _ = compare_sweep(*EDGE_GRID)
+    points += [SweepPoint(4, 3, 1, 12, 12, 5, 8), SweepPoint(4, 3, 1, None, None, 4, 8)]
+    path = tmp_path / "rates.csv"
+    write_sweep_csv(points, path)
+    assert path.read_bytes() == format_sweep_csv(points).encode()
+    assert format_sweep_csv(points) == _reference_sweep_csv(points)
+    write_sweep_csv([], path)
+    assert path.read_text() == format_sweep_csv([]) == ",".join(SWEEP_CSV_FIELDS) + "\n"
+
+
 def test_compare_sweep_is_the_public_counts():
     m_values, n_values, x_values = range(1, 9), range(1, 7), range(1, 5)
     expected = []

@@ -425,6 +425,19 @@ def test_compare_command(tmp_path, capsys):
                  "--out", str(out_path)]) == 1
 
 
+@pytest.mark.parametrize("ranges,message", [
+    (("0:3", "1:2", "1"), "m, n, x must be positive, got (0, 1, 1)"),
+    (("2:102", "1:100", "1:100"), f"sweep of 1010000 points exceeds the cap of {SWEEP_POINT_CAP}"),
+], ids=["invalid-point", "above-the-cap"])
+def test_refused_compare_writes_no_file(tmp_path, capsys, ranges, message):
+    # the sweep is refused before its rows are streamed, so no file is opened
+    out_path = tmp_path / "rates.csv"
+    argv = [f"--{axis}-range={text}" for axis, text in zip("mnx", ranges)]
+    assert main(["compare", *argv, f"--out={out_path}"]) == 1
+    assert message in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def _limit_address_space():
     # 2 GB: a grid that is allocated before the cap is checked fails with a MemoryError
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
