@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass
 import operator
 from math import gcd, prod
@@ -291,9 +292,14 @@ def format_sweep_csv(points) -> str:
 
 
 def write_sweep_csv(points, path) -> None:
-    """Stream the rows of format_sweep_csv(points) to path, never holding the whole text."""
-    with open(path, "w") as f:
-        _write_sweep_rows(f, points)
+    """Stream the rows of format_sweep_csv(points) to path; a row or write that fails removes it."""
+    f = open(path, "w")
+    try:
+        with f:
+            _write_sweep_rows(f, points)
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def parse_sweep_csv(text: str) -> list[SweepPoint]:

@@ -11,9 +11,11 @@ int64, or int32 for encode's shares. Those reductions, and the elimination's
 and the solves' block updates, run in place as x - q (x // q) from
 FLOOR_REDUCE_MIN entries on, since numpy divides by a scalar through
 libdivide and np.remainder does not; smaller arrays keep np.remainder. A
-product whose b and result fit one chunk of CHUNK_BYTES, as every worker
+product whose b and result fit one chunk of CHUNK_BYTES, at 4 bytes an
+entry where it and its result are 32-bit and 8 otherwise, as every small
 product of a run does, takes no chunk or limb bookkeeping: one cast per
-operand, one product, one cast and one reduction. Inside a panel of the
+operand, one np.dot, then a cast and a reduction only where they change
+anything. Inside a panel of the
 elimination the reduction is delayed: a panel's trailing block is reduced
 once every k pivots, k the largest number of products of two residues that
 int64 can take on top of a residue, at most PANEL_WIDTH (2 at q = 2^31 - 1).
@@ -142,7 +144,7 @@ def _reduce_in_place(x: np.ndarray, q: int) -> None:
     # [-2^63 + q, 2^63) for int64. Every kernel result and block update lies
     # well inside its dtype's range. The temporary is the size of x.
     if x.size < FLOOR_REDUCE_MIN:
-        np.remainder(x, q, out=x)
+        x %= q
         return
     t = x // q
     t *= q
@@ -185,27 +187,33 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, q: int, out_dtype=np.int64) ->
     The product runs in the dtype _tiers picks: float32 or float64 BLAS, or
     int64, in limbs where its sums could pass 2^63. b's columns are taken
     CHUNK_BYTES at a time (half that where there are twice the temporaries),
-    so the reduction's temporary and any float copy stay within one chunk.
-    A reduction in the result's dtype runs in the result's own chunk, so no
-    second chunk is held; any other in a chunk of its own dtype, which is
-    then stored into the result.
+    an entry of b and of the result counted at 4 bytes where the product,
+    reduction and result are 32-bit and at 8 otherwise, so the reduction's
+    temporary and any float copy stay within one chunk. A reduction in the
+    result's dtype runs in the result's own chunk, so no second chunk is
+    held; any other in a chunk of its own dtype, which is then stored into
+    the result.
     """
     rows, inner, cols = a.shape[0], a.shape[-1], b.shape[-1]
-    dtype, reduce = _tiers(inner, q, rows * cols)
+    size = rows * cols
+    dtype, reduce = _tiers(inner, q, size)
     limbs = dtype is np.int64 and inner * (q - 1) ** 2 >= INT64_EXACT
-    # reducing the exact float sums as integers is an order of magnitude
-    # faster than np.fmod
-    if not limbs and 8 * cols * max(rows, inner) <= CHUNK_BYTES:
-        # b and the result fit one chunk, as in each of the hundreds of small
-        # products a run makes: one cast per operand, one product, one cast
-        # to the reduction's dtype and one reduction, with no chunk bookkeeping
-        out = (a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)).astype(reduce, copy=False)
-        _reduce_in_place(out, q)
-        return out.astype(out_dtype, copy=False)
+    width = 4 if dtype is np.float32 and reduce is np.int32 and out_dtype is np.int32 else 8
+    if not limbs and width * cols * max(rows, inner) <= CHUNK_BYTES:
+        # one chunk: one np.dot, a cast only where the dtype changes, and the
+        # reduction as integers, an order of magnitude faster than np.fmod
+        out = np.dot(a.astype(dtype, copy=False), b.astype(dtype, copy=False))
+        if dtype is not reduce:
+            out = out.astype(reduce)
+        if size < FLOOR_REDUCE_MIN:
+            out %= q
+        else:
+            _reduce_in_place(out, q)
+        return out if reduce is out_dtype else out.astype(out_dtype)
     a = a.astype(dtype, copy=False)
     # limbs, and an int64 reduction stored into an int32 result, hold two temporaries per entry
     doubled = limbs or (reduce is np.int64 and out_dtype is not np.int64)
-    step = max(1, CHUNK_BYTES // ((16 if doubled else 8) * max(rows, inner, 1)))
+    step = max(1, CHUNK_BYTES // ((2 * width if doubled else width) * max(rows, inner, 1)))
     out = np.empty((rows, cols), dtype=out_dtype)
     for c0 in range(0, cols, step):
         chunk, bc = out[:, c0:c0 + step], b[:, c0:c0 + step]

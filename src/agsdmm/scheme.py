@@ -423,11 +423,14 @@ class SchemeInstance:
         if mat.shape[axis] % count:
             raise ValueError(f"{('row', 'column')[axis]} count {mat.shape[axis]} is not "
                              f"divisible by the partition count {count}")
-        blocks = np.split(mat, count, axis=axis)
-        masks = [rng.integers(0, q, size=blocks[0].shape, dtype=np.int64)
-                 for _ in range(self.poles.x)]
+        # the blocks as a view, B's with its block axis swapped to the front;
+        # one draw of all X masks gives the values of X draws of one block
+        rows, cols = mat.shape
+        blocks = (mat.reshape(rows, count, cols // count).swapaxes(0, 1) if axis
+                  else mat.reshape(count, rows // count, cols))
+        masks = rng.integers(0, q, (self.poles.x, *blocks.shape[1:]), dtype=np.int64)
         # share_i = sum_t coeff[t, i] * stacked[t], one product mod q
-        stacked = np.stack(masks + blocks)
+        stacked = np.concatenate((masks, blocks))
         flat = linalg._matmul_reduced(coeff.T, stacked.reshape(len(stacked), -1), q, np.int32)
         shares = flat.reshape((self.n_workers,) + stacked.shape[1:])
         return EncodedShares(side, list(shares))

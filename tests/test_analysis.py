@@ -410,6 +410,31 @@ def test_write_sweep_csv_writes_the_formatted_text(tmp_path):
     assert path.read_text() == format_sweep_csv([]) == ",".join(SWEEP_CSV_FIELDS) + "\n"
 
 
+def test_write_sweep_csv_leaves_no_file_when_a_row_fails(tmp_path, monkeypatch):
+    # the header and the rows before a failing one are streamed first; the
+    # failure removes them, whether the point cannot render (N = 0) or the
+    # renderer runs out of memory mid-stream, and is raised as it was
+    good, _ = compare_sweep(range(2, 5), range(1, 3), range(1, 3))
+    path = tmp_path / "rates.csv"
+    with pytest.raises(ZeroDivisionError):
+        write_sweep_csv([good[0], SweepPoint(1, 1, 1, None, None, 0, 1)], path)
+    assert not path.exists()
+    render = analysis._sweep_csv_row
+    rendered = []
+
+    def fails_third(point):
+        if len(rendered) == 2:
+            raise MemoryError
+        rendered.append(point)
+        return render(point)
+
+    monkeypatch.setattr(analysis, "_sweep_csv_row", fails_third)
+    path.write_text("an older sweep\n")
+    with pytest.raises(MemoryError):
+        write_sweep_csv(good, path)
+    assert len(rendered) == 2 and not path.exists()
+
+
 def test_compare_sweep_is_the_public_counts():
     m_values, n_values, x_values = range(1, 9), range(1, 7), range(1, 5)
     expected = []

@@ -697,6 +697,73 @@ def test_matmul_reduced_never_copies_a_wide_operand_to_float64():
                 tracemalloc.stop()
             assert peak < out.nbytes + 2 * linalg.CHUNK_BYTES
             assert out.dtype == out_dtype and np.array_equal(out, expect)
+    # at the one-chunk bound of a 32-bit product, whose float32 product and
+    # int32 result are held together for one cast, the same bound holds
+    a = rng.integers(0, 97, size=(8, 4))
+    b = rng.integers(0, 97, size=(4, linalg.CHUNK_BYTES // 32))
+    tracemalloc.start()
+    try:
+        out = linalg._matmul_reduced(a, b, 97, np.int32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == linalg.CHUNK_BYTES and peak < out.nbytes + 2 * linalg.CHUNK_BYTES
+    assert out.dtype == np.int32 and np.array_equal(out, a @ b % 97)
+
+
+def test_one_chunk_bound_counts_each_entry_at_its_real_size(monkeypatch):
+    # the decode-bound encode, 329 x 24 by 24 x 512 at q = 617: its float32
+    # product and int32 shares fill 0.67 MB at 4 bytes an entry, so it is
+    # reduced whole, and one byte less of chunk splits it; an int64 result
+    # counts 8 bytes an entry, 1.35 MB, and takes two chunks
+    shapes = []
+    reduce_in_place = linalg._reduce_in_place
+    monkeypatch.setattr(linalg, "_reduce_in_place",
+                        lambda x, q: shapes.append(x.shape) or reduce_in_place(x, q))
+    rng = np.random.default_rng(617)
+    a = rng.integers(0, 617, size=(329, 24))
+    b = rng.integers(0, 617, size=(24, 512))
+    step = linalg.CHUNK_BYTES // (8 * 329)
+    for chunk_bytes, out_dtype, chunks in (
+        (linalg.CHUNK_BYTES, np.int32, [(329, 512)]),
+        (4 * 329 * 512 - 1, np.int32, [(329, 511), (329, 1)]),
+        (linalg.CHUNK_BYTES, np.int64, [(329, step), (329, 512 - step)]),
+    ):
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", chunk_bytes)
+        shapes.clear()
+        got = linalg._matmul_reduced(a, b, 617, out_dtype)
+        assert shapes == chunks
+        assert got.dtype == out_dtype and np.array_equal(got, a @ b % 617)
+
+
+@st.composite
+def _one_chunk_bounds(draw):
+    # (a, b, q, out_dtype, chunk_bytes) at inner length 4, in the tiers of
+    # test_matmul_reduced_never_copies_a_wide_operand_to_float64: a result of
+    # either size around FLOOR_REDUCE_MIN, and a chunk that b and the result
+    # fill, at 4 or at 8 bytes an entry, exactly or one byte past it
+    q = draw(st.sampled_from([97, 2053, 23173, 134217689, 2**31 - 1]))
+    rows, cut = draw(st.integers(1, 8)), linalg.FLOOR_REDUCE_MIN
+    cols = draw(st.sampled_from([1, 5, (cut - 1) // rows, -(-cut // rows)]))
+    chunk = draw(st.sampled_from([4, 8])) * cols * max(rows, 4) - draw(st.integers(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.sampled_from([0, q - 3]))
+    a, b = rng.integers(low, q, size=(rows, 4)), rng.integers(low, q, size=(4, cols))
+    return a, b, q, draw(st.sampled_from([np.int64, np.int32])), chunk
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_one_chunk_bounds())
+def test_one_chunk_and_chunked_products_agree(case):
+    # one side of the bound takes one chunk, the other the chunk loop; a
+    # chunk of one byte takes the loop a column at a time
+    a, b, q, out_dtype, chunk = case
+    expect = (_exact(a) @ _exact(b) % q).tolist()
+    with pytest.MonkeyPatch.context() as patch:
+        for chunk_bytes in (chunk, 1):
+            patch.setattr(linalg, "CHUNK_BYTES", chunk_bytes)
+            got = linalg._matmul_reduced(a, b, q, out_dtype)
+            assert got.dtype == out_dtype and got.tolist() == expect
 
 
 @st.composite

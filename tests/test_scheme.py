@@ -36,7 +36,7 @@ from agsdmm import function_field
 from agsdmm.field import is_prime
 from agsdmm.function_field import evaluation_matrix, select_distinct_x_places
 from agsdmm.linalg import LUFactorization
-from agsdmm.scheme import orient, pole_sequences, worker_bound, worker_count
+from agsdmm.scheme import EncodedShares, orient, pole_sequences, worker_bound, worker_count
 from conftest import all_square_submatrices_invertible
 from test_function_field import _evaluate, _exponents, _place_count
 
@@ -433,6 +433,11 @@ SHARE_DIGESTS = {
     (8, 8, 4): ("e9b17825ba02d08bce23191d54e9ac1c32f8c6edb56f52d105d10779ec0ec8bd",
                 "549f456f46f5ddad6432584e6511e75d1d93dec18b46d198e0d06637662457ac",
                 "c974da24c70e26ae525702bfc27e1fbe4e92e20fcf5f0683bd217f899158a8ed"),
+    # the benchmark's decode-bound point, q = 617, N = 329: ten masks a side
+    # and float64 worker products; recorded while each mask had its own draw
+    (14, 14, 10): ("b9331eac40044448c112a40c21715d6b89c00aae985b326d1eb3f4a3d229b793",
+                   "18aa6d76a3a2dac04d4dc829214e4122fc8e270ec77ba5b4661278af982eb28c",
+                   "477694aec84fc8e0df08d779b25aa4d73c40d96046c0ffd8ecbb84b6ec30f055"),
 }
 
 
@@ -483,11 +488,27 @@ def test_transcript_digest_is_pinned(params):
 
 @pytest.mark.parametrize("params", sorted(set(SHARE_DIGESTS) | set(TRANSCRIPT_DIGESTS)))
 def test_pinned_digests_hold_with_ragged_encode_chunks(params, monkeypatch):
-    # an encode product has N rows and fewer inner terms, so at 32 N bytes it
-    # takes 4 columns per chunk, and the 6 columns of every block of
-    # _seeded_transcript end in a ragged chunk of 2
-    monkeypatch.setattr(linalg, "CHUNK_BYTES", 32 * derive_parameters(*params).n_workers)
+    # an encode product has N rows and fewer inner terms; with every product
+    # reduced as int32 where that is exact, its float32 product and int32
+    # shares count 4 bytes an entry, so at 16 N bytes the 6 columns of every
+    # block of _seeded_transcript take the chunk loop, 4 columns and a ragged 2
+    n = derive_parameters(*params).n_workers
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", 16 * n)
+    monkeypatch.setattr(linalg, "FLOOR_REDUCE_MIN", 1)
+    chunks = []
+    reduce_in_place = linalg._reduce_in_place
+
+    def recorded(x, q):
+        # the build's int32 reductions of N rows come first; the run's last
+        # ones are encode's, whole or a chunk at a time, since the worker
+        # products and the decode have fewer rows
+        if x.dtype == np.int32 and x.shape[0] == n:
+            chunks.append(x.shape[1])
+        reduce_in_place(x, q)
+
+    monkeypatch.setattr(linalg, "_reduce_in_place", recorded)
     transcript = _seeded_transcript(params)
+    assert chunks[-4:] == [4, 2, 4, 2]
     if params in SHARE_DIGESTS:
         assert _share_digests(transcript) == SHARE_DIGESTS[params]
     if params in TRANSCRIPT_DIGESTS:
@@ -749,6 +770,30 @@ def test_encode_matches_reference_at_tier_boundaries(limit, q):
             assert np.array_equal(share, expect.astype(np.int64))
 
 
+@pytest.mark.parametrize("params,q", [((2, 2, 1), None), ((4, 3, 2), None), ((8, 8, 4), None),
+                                      ((14, 14, 10), None), ((4, 3, 2), 2**31 - 1)])
+def test_encode_masks_are_x_draws_of_the_block_shape(params, q):
+    # the one draw of all X masks takes from the generator what X draws of one
+    # block each would, so every share is the sum over those masks and the
+    # blocks np.split cuts, at q = 47, 197, 617 and 2^31 - 1
+    inst = build_scheme(SchemeParams(*params, q=q))
+    q, (m, n, _) = inst.q, params
+    rng = np.random.default_rng(q)
+    for side, shape in (("A", (2 * m, 3)), ("B", (3, 2 * n))):
+        coeff, count, axis = inst._sides[side]
+        mat = rng.integers(0, q, size=shape)
+        enc = inst.encode(side, mat, np.random.default_rng(8))
+        mask_rng = np.random.default_rng(8)
+        blocks = np.split(mat, count, axis=axis)
+        masks = [mask_rng.integers(0, q, size=blocks[0].shape, dtype=np.int64)
+                 for _ in range(inst.poles.x)]
+        terms = np.stack(masks + blocks).astype(object)
+        expect = np.tensordot(coeff.T.astype(object), terms, axes=1) % q
+        assert len(enc) == inst.n_workers
+        for share, want in zip(enc.shares, expect, strict=True):
+            assert share.dtype == np.int32 and share.tolist() == want.tolist()
+
+
 def test_encode_reduces_unreduced_input(inst432):
     # negative entries, entries >= q and the int64 extremes give the shares of
     # the reduced matrix under the same rng
@@ -884,6 +929,41 @@ def test_worker_products_make_one_checked_product_per_worker(m, n, x, shape, mon
     for (a, b, q), share_a, share_b in zip(calls, enc_a.shares, enc_b.shares, strict=True):
         assert a is share_a and b is share_b and q == inst.q
         assert a.dtype == b.dtype == np.int32
+
+
+@pytest.mark.parametrize("params,q,inner", [((4, 3, 2), None, 5), ((2, 2, 1), 13036379, 53)])
+def test_worker_products_reduce_every_share_they_are_given(params, q, inner):
+    # the one-chunk product keeps both operand range checks: int32 shares
+    # holding q, q + 5, a negative entry or the int32 extremes, or q in every
+    # entry, int64 shares past int32 and bool shares give the exact reduced
+    # product, through worker_products and matmul_mod alike; at q = 13036379
+    # a float64 product of 53 entries q would pass 2^53 unreduced, and at
+    # q = 47 a float32 one of 2^31 - 1 would round
+    inst = build_scheme(SchemeParams(*params, q=q))
+    q, n = inst.q, inst.n_workers
+    rng = np.random.default_rng(43)
+
+    def shares(shape, dtype, values):
+        out = []
+        for _ in range(n):
+            s = np.full(shape, q) if values is None else rng.integers(0, q, size=shape)
+            if values:
+                s.flat[rng.choice(s.size, len(values), replace=False)] = values
+            out.append(s.astype(dtype))
+        return out
+
+    cases = [
+        (np.int32, [q]), (np.int32, [q + 5]), (np.int32, [-1]), (np.int32, [q, q + 5, -q - 3]),
+        (np.int32, [2**31 - 1, -2**31]), (np.int32, None),
+        (np.int64, [2**40 + 1, -2**63, 2**63 - 1]), (np.int64, []), (np.bool_, []),
+    ]
+    for dtype, values in cases:
+        sa, sb = shares((3, inner), dtype, values), shares((inner, 2), dtype, values)
+        responses = inst.worker_products(EncodedShares("A", sa), EncodedShares("B", sb))
+        for a, b, response in zip(sa, sb, responses, strict=True):
+            expect = (a.astype(object) @ b.astype(object) % q).tolist()
+            assert response.dtype == np.int64 and response.tolist() == expect
+            assert linalg.matmul_mod(a, b, q).tolist() == expect
 
 
 def test_star_product_dimension(inst221, inst432):
