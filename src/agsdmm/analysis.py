@@ -9,11 +9,9 @@ int division m*n / N, as str and float of its Fraction would:
                 which equals the number of distinct entries in its pole
                 order table and is at most (3mn + m)/2 + 3x - 2,
   * a3s      -- N = (m + x)(n + 1) - 1, best orientation of the two,
-  * gasp_big -- the upper bound N <= 2mn + 2x - 1. This stands in for the
-                exact GASP threshold, which needs tables outside this
-                package's scope; win statistics against it are therefore a
-                bound-based analog of published exact-threshold figures, not
-                a reproduction of them.
+  * gasp_big -- the upper bound N <= 2mn + 2x - 1 on GASP's worker count;
+                the exact count is not computed, so win statistics are
+                taken against the bound.
 
 compare_sweep counts a grid in numpy array passes through the closed forms of the
 per-point counts: in int64, or in Python ints where a count could pass 2^63.
@@ -33,8 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scheme import (_check_positive, _degree, _min, _worker_count, distinct_sums, orient,
-                     worker_bound, worker_count)
+from .scheme import (POLE_TABLE_CAP, _check_positive, _degree, _min, _worker_count,
+                     distinct_sums, orient, worker_bound, worker_count)
 
 SWEEP_CAVEAT = (
     "gasp_big is an upper bound, not the exact GASP threshold; "
@@ -113,6 +111,10 @@ def degree_table_report(a_exponents, b_exponents) -> DegreeTableReport:
             raise ValueError(f"{name} exponent sequence is empty")
         if any(u >= v for u, v in zip(seq, seq[1:])):
             raise ValueError(f"{name} exponents must be strictly increasing, got {seq}")
+    entries = len(a) * len(b)
+    if entries > POLE_TABLE_CAP:
+        raise ValueError(
+            f"degree table of {entries} entries exceeds the cap of {POLE_TABLE_CAP} entries")
     table = tuple(tuple(ai + bj for bj in b) for ai in a)
     return DegreeTableReport(a, b, table, distinct_sums(a, b))
 

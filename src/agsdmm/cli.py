@@ -16,11 +16,11 @@ from .scheme import (
     SchemeParams,
     _mask_code_is_mds,
     build_scheme,
-    check_field_order,
     derive_parameters,
     load_scheme,
     read_matrix_csv,
     save_scheme,
+    smallest_admissible_field,
     write_matrix_csv,
 )
 
@@ -60,8 +60,7 @@ def cmd_params(args) -> int:
     poles = derive_parameters(args.m, args.n, args.x)
     out = poles.to_dict()
     if args.q is not None:
-        check_field_order(poles, args.q)
-        out["q"] = args.q
+        out["q"] = smallest_admissible_field(poles.d, poles.code_degree + 1, args.q)
     print(json.dumps(out, indent=2))
     return EXIT_OK
 

@@ -91,7 +91,11 @@ def as_matrix(rows, q: int) -> np.ndarray:
 def matmul_mod(a, b, q: int) -> np.ndarray:
     """Exact (a @ b) mod q for integer matrices with int64 entries of any sign."""
     q = _check_modulus(q)
-    return _matmul_reduced(_reduced(a, q), _reduced(b, q), q)
+    a, b = _reduced(a, q), _reduced(b, q)
+    for m in (a, b):
+        if m.ndim != 2:
+            raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
+    return _matmul_reduced(a, b, q)
 
 
 def _check_modulus(q) -> int:

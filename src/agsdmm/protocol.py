@@ -203,8 +203,6 @@ def empirical_secrecy_audit(
 
     places = select_distinct_x_places(q, poles.d)
     n_aud = len(places)
-    if n_aud < x:
-        raise ValueError(f"only {n_aud} usable places; need at least x={x}")
 
     a_eval, b_eval = (evaluation_matrix(q, poles.d, poles.sides[side][0], places) for side in "AB")
 

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .field import check_odd_prime, is_prime
+from .field import check_odd_prime
 from .function_field import evaluation_matrix, scan_run_x, select_distinct_x_places
 
 # the largest pole table, (m + x)(n + x) entries, and evaluation matrix,
@@ -280,21 +280,33 @@ def derive_parameters(m: int, n: int, x: int) -> PoleStructure:
     return poles
 
 
-def smallest_admissible_field(d: int, required_places: int) -> int:
+def smallest_admissible_field(d: int, required_places: int, q: int | None = None) -> int:
     """Smallest odd prime q > d whose curve has at least required_places distinct-x places.
 
-    Each candidate is counted by scan_run_x, which builds no curve and evaluates no f(x).
+    A given q is the one candidate, and its first failed check is raised:
+    the modulus range, odd prime, q > d, then the count. Each candidate is
+    counted by scan_run_x, which builds no curve and evaluates no f(x).
     """
     g = (d - 1) // 2
     # any prime at or above this square is sufficient by the point-count bound
     t = g + math.isqrt(g * g + 2 * required_places) + 2
     cap = t * t + 2000
     # a curve over F_q has at most q distinct x-coordinates, so no smaller q passes
-    q = max(d + 2, required_places) | 1
-    while q <= cap:
-        if is_prime(q) and len(scan_run_x(q, d, required_places)) >= required_places:
-            return q
-        q += 2
+    candidates = range(max(d + 2, required_places) | 1, cap + 1, 2) if q is None else (q,)
+    for c in candidates:
+        c = linalg._check_modulus(c)  # outside the try: a search stops at the range's end too
+        try:
+            check_odd_prime(c)
+            if c <= d:
+                raise ValueError(f"field order {c} too small: need q > d = {d} distinct roots")
+            available = len(scan_run_x(c, d, required_places))
+            if available < required_places:
+                raise ValueError(f"field order {c} admits only {available} usable places; "
+                                 f"need at least {required_places}")
+            return c
+        except ValueError:
+            if q is not None:
+                raise
     raise RuntimeError(f"no admissible field found below {cap} for d={d}")
 
 
@@ -496,20 +508,6 @@ class SchemeInstance:
                 f"N={self.n_workers})")
 
 
-def check_field_order(poles: PoleStructure, q: int) -> None:
-    """Validate an explicitly requested field order against a pole structure."""
-    q = linalg._check_modulus(q)
-    check_odd_prime(q)
-    if q <= poles.d:
-        raise ValueError(f"field order {q} too small: need q > d = {poles.d} distinct roots")
-    required = poles.code_degree + 1
-    available = len(scan_run_x(q, poles.d, required))
-    if available < required:
-        raise ValueError(
-            f"field order {q} admits only {available} usable places; need at least {required}"
-        )
-
-
 def build_scheme(params: SchemeParams) -> SchemeInstance:
     """Derive the pole structure, pick the field, and assemble the full scheme.
 
@@ -522,11 +520,7 @@ def build_scheme(params: SchemeParams) -> SchemeInstance:
         raise ValueError(f"evaluation matrix of {size[0]} x {size[1]} int64 entries "
                          f"exceeds the cap of {EVALUATION_BYTES_CAP} bytes")
 
-    if params.q is None:
-        q = smallest_admissible_field(poles.d, poles.code_degree + 1)
-    else:
-        q = params.q
-        check_field_order(poles, q)
+    q = smallest_admissible_field(poles.d, poles.code_degree + 1, params.q)
 
     # a nonzero function of pole order <= code_degree has at most code_degree
     # zeros, so the first code_degree + 1 places already have full rank N, and

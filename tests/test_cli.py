@@ -19,10 +19,12 @@ import agsdmm
 from agsdmm import (
     SchemeParams,
     build_scheme,
+    derive_parameters,
     load_scheme,
     parse_sweep_csv,
     read_matrix_csv,
     run_protocol,
+    smallest_admissible_field,
     write_matrix_csv,
 )
 from agsdmm.analysis import SWEEP_POINT_CAP
@@ -56,6 +58,31 @@ def test_out_of_range_field_order_gives_one_message(tmp_path, capsys, command, q
         argv += ["--out", str(tmp_path / "s.json")]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: field order {q} must be an integer in [2, 2^31)\n"
+
+
+@pytest.mark.parametrize("m,n,x,q,message", [
+    (2, 2, 1, 13, "field order 13 admits only 5 usable places; need at least 9"),
+    (4, 3, 2, 11, "field order 11 too small: need q > d = 11 distinct roots"),
+])
+def test_a_given_field_order_meets_one_rule_in_build_params_and_load(tmp_path, capsys, m, n, x,
+                                                                     q, message):
+    # build --q, params --q and a descriptor's q all go through
+    # smallest_admissible_field, and so refuse with the same line
+    point = ["--m", str(m), "--n", str(n), "--x", str(x), "--q", str(q)]
+    descriptor = tmp_path / "s.json"
+    descriptor.write_text(json.dumps({"m": m, "n": n, "X": x, "q": q}))
+    for argv in (["build", *point, "--out", str(tmp_path / "built.json")], ["params", *point],
+                 ["multiply", "--scheme", str(descriptor), "--a", "a.csv", "--b", "b.csv",
+                  "--out", str(tmp_path / "c.csv")]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+    # an admissible q is returned as given, the searched one or another
+    poles = derive_parameters(m, n, x)
+    d, required = poles.d, poles.code_degree + 1
+    searched = smallest_admissible_field(d, required)
+    for given in (searched, 2**31 - 1):
+        assert smallest_admissible_field(d, required, given) == given
 
 
 def test_params_swapped(capsys):
@@ -467,10 +494,13 @@ def test_compare_refuses_a_grid_above_the_cap_before_allocating(tmp_path, m_rang
     (("build", "--m", "200", "--n", "200", "--x", "10"),
      "evaluation matrix of 42218 x 80037 int64 entries exceeds the cap of "
      f"{EVALUATION_BYTES_CAP} bytes"),
+    (("degree-table", "--a", ",".join(map(str, range(1001))), "--b", ",".join(map(str, range(1001)))),
+     f"degree table of 1002001 entries exceeds the cap of {POLE_TABLE_CAP} entries"),
 ])
 def test_huge_parameters_are_refused_before_allocating(tmp_path, args, message):
     # each would end in a MemoryError within the 2 GB limit, or grow past it
-    # without one (the last needs 27 GB for its evaluation matrix alone)
+    # without one (the third needs 27 GB for its evaluation matrix alone); the
+    # degree table's cost grows with the product of its two lists' lengths
     if args[0] == "build":
         args += ("--out", str(tmp_path / "s.json"))
     out = _run_module(*args, preexec_fn=_limit_address_space)

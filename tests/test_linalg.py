@@ -584,6 +584,19 @@ def test_matmul_mod_refuses_input_int64_cannot_hold():
             rank(bad, 7)
 
 
+@pytest.mark.parametrize("a_shape,b_shape,bad", [
+    ((5,), (5,), (5,)), ((1000,), (1000,), (1000,)), ((2, 300, 300), (300, 3000), (2, 300, 300)),
+    ((3, 3), (3,), (3,)), ((3, 3), (), ()),
+])
+def test_matmul_mod_refuses_operands_that_are_not_matrices(a_shape, b_shape, bad):
+    # the kernel reads a.shape[0] and b.shape[-1] as matrix dimensions, so a
+    # vector or a stack would give a 0-d array, an IndexError or a broadcast
+    # error by its size; each operand is refused as as_matrix refuses it
+    a, b = np.ones(a_shape, dtype=np.int64), np.ones(b_shape, dtype=np.int64)
+    with pytest.raises(ValueError, match=rf"^expected a 2-D matrix, got shape {re.escape(str(bad))}$"):
+        matmul_mod(a, b, 7)
+
+
 def test_matmul_mod_takes_every_integer_dtype_int64_holds():
     a = [[3, 1], [2, 5]]
     expect = np.array(a) @ np.array(a) % 7

@@ -202,13 +202,14 @@ def test_non_integer_parameters_are_refused(bad):
 @pytest.mark.parametrize("bad", [17.0, "17", 2**31, 2**31 + 1, 0])
 def test_scheme_params_refuse_a_bad_field_order(bad):
     # a given q meets linalg's one modulus check as the params are made, and
-    # check_field_order meets it first too, where 17.0 and '17' would otherwise
+    # the field rule meets it first too, where 17.0 and '17' would otherwise
     # raise a raw TypeError and 2^31 + 1 is_prime's own cap message
     message = re.escape(f"field order {bad!r} must be an integer in [2, 2^31)")
     with pytest.raises(ValueError, match=message):
         SchemeParams(2, 2, 1, q=bad)
+    poles = derive_parameters(2, 2, 1)
     with pytest.raises(ValueError, match=message):
-        scheme.check_field_order(derive_parameters(2, 2, 1), bad)
+        smallest_admissible_field(poles.d, poles.code_degree + 1, bad)
     # a numpy integer is kept as the Python int the build's pow() takes
     params = SchemeParams(2, 2, 1, q=np.int64(17))
     assert type(params.q) is int and build_scheme(params).q == 17
@@ -360,6 +361,7 @@ def test_smallest_admissible_field_search():
     # d = 3 needs 9 distinct-x places: 5, 7, 11, 13 are all too small
     assert smallest_admissible_field(3, 9) == 17
     assert smallest_admissible_field(3, 1) == 5
+
 
 
 # SHA-256 of json.dumps(to_dict(), sort_keys=True), recorded before the curve
